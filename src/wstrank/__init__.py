@@ -30,7 +30,6 @@ from .data import (
     load_matches,
     read_match_csv,
     skew_statistic,
-    strongly_connected_components,
     write_match_csv,
 )
 from .errors import (
@@ -66,6 +65,7 @@ from .simulation import (
     StudyResult,
     gen_counts,
     gen_probabilities,
+    rank_counts,
     replicate_rng,
     run_study,
     synthetic_matches,
@@ -112,13 +112,13 @@ __all__ = [
     "modified_tau",
     "q_bar",
     "q_sequence",
+    "rank_counts",
     "read_match_csv",
     "replicate_rng",
     "run_study",
     "score",
     "skew_statistic",
     "spearman_rho",
-    "strongly_connected_components",
     "surrogate_init",
     "synthetic_matches",
     "usvt_probabilities",

@@ -15,13 +15,10 @@ from .data import (
     ComparisonCounts,
     ProbabilityMatrix,
     Ranking,
+    same_strong_component,
     skew_statistic,
-    strongly_connected_components,
-    _win_graph,
 )
 from .errors import ConvergenceError, DataError, NotConnectedError
-
-BORDA_SCORINGS = ("fraction", "wins")
 
 
 @dataclass(frozen=True)
@@ -45,24 +42,20 @@ class UsvtOptions:
             raise ValueError("eta must be positive")
 
 
-def borda_rank(counts: ComparisonCounts, scoring: str = "fraction") -> Ranking:
-    """Rank by aggregate win records.
+def borda_scores(counts: ComparisonCounts) -> np.ndarray:
+    """Sum of per-opponent win fractions y_ij/n_ij for each player.
 
-    The default scores each player as the sum of per-opponent win fractions
-    y_ij/n_ij, which is less sensitive to an uneven game schedule than raw
-    win totals; ``scoring="wins"`` gives the raw-total variant. Players with
-    no games score zero and sort among themselves by index.
+    Less sensitive to an uneven game schedule than raw win totals. Players
+    with no games score zero.
     """
-    if scoring not in BORDA_SCORINGS:
-        raise ValueError(f"unknown scoring {scoring!r}; expected one of {BORDA_SCORINGS}")
     pair = counts.pair_counts
-    win = counts.win_counts
-    if scoring == "fraction":
-        frac = np.where(pair > 0, win / np.where(pair > 0, pair, 1), 0.0)
-        scores = frac.sum(axis=1)
-    else:
-        scores = win.sum(axis=1).astype(float)
-    return Ranking.from_scores(scores)
+    frac = np.where(pair > 0, counts.win_counts / np.where(pair > 0, pair, 1), 0.0)
+    return frac.sum(axis=1)
+
+
+def borda_rank(counts: ComparisonCounts) -> Ranking:
+    """Rank by :func:`borda_scores`; equal scores sort by index."""
+    return Ranking.from_scores(borda_scores(counts))
 
 
 def bt_log_likelihood(beta, counts: ComparisonCounts) -> float:
@@ -84,8 +77,7 @@ def bt_fit(counts: ComparisonCounts, opts: BtOptions | None = None) -> tuple[np.
     """
     opts = opts or BtOptions()
     n = counts.n
-    components = strongly_connected_components(_win_graph(counts))
-    if len(components) != 1:
+    if not same_strong_component(counts).all():
         raise NotConnectedError(
             "comparison graph is not strongly connected; "
             "apply filter_players(counts, 'bt-connected') first"

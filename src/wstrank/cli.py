@@ -15,18 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import borda_rank, bt_fit, usvt_rank
-from .data import (
-    ComparisonCounts,
-    Ranking,
-    filter_players,
-    load_matches,
-    read_match_csv,
-)
+from .data import ComparisonCounts, Ranking, filter_players, load_matches, read_match_csv
 from .errors import AlignmentError, DataError, NumericError
-from .maxscore import MasterOptions, MasterResult, master_rank
+from .maxscore import MasterOptions
 from .metrics import kendall_tau, spearman_rho
-from .simulation import METHODS, SCENARIOS, SimConfig, run_study
+from .simulation import METHODS, SCENARIOS, Fit, SimConfig, rank_counts, run_study
 
 FORMATS = ("table", "csv", "json")
 
@@ -119,6 +112,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         master_opts = MasterOptions(k=args.k)
         if args.reps < 2:
             raise ValueError("--reps must be at least 2")
+        if args.threads < 1:
+            raise ValueError("--threads must be at least 1")
         for m in methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
@@ -149,41 +144,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _rank_with_method(
-    counts: ComparisonCounts, method: str, k: int
-) -> tuple[Ranking, np.ndarray, MasterResult | None]:
-    if method == "counting":
-        pair = counts.pair_counts
-        frac = np.where(pair > 0, counts.win_counts / np.where(pair > 0, pair, 1), 0.0)
-        scores = frac.sum(axis=1)
-        return borda_rank(counts), scores, None
-    if method == "bt":
-        beta, ranking = bt_fit(counts)
-        return ranking, beta, None
-    if method == "usvt":
-        estimate, ranking = usvt_rank(counts)
-        return ranking, estimate.probs.sum(axis=1), None
-    result = master_rank(counts, MasterOptions(k=k))
-    return result.ranking, result.ranking.ranks.astype(float), result
+def _master_options(args: argparse.Namespace) -> MasterOptions:
+    try:
+        return MasterOptions(k=args.k)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
-def _ranking_artifact(
-    counts: ComparisonCounts, method: str, ranking: Ranking, scores: np.ndarray,
-    master: MasterResult | None,
-) -> dict:
+def _ranking_artifact(counts: ComparisonCounts, method: str, fit: Fit) -> dict:
     players = [
         {
             "position": pos,
             "label": counts.label(int(i)),
-            "score": float(scores[int(i)]),
+            "score": float(fit.scores[int(i)]),
         }
-        for pos, i in enumerate(ranking.best_first(), start=1)
+        for pos, i in enumerate(fit.ranking.best_first(), start=1)
     ]
     artifact: dict = {"method": method, "n": counts.n, "players": players}
-    if master is not None:
-        artifact["objective"] = master.objective
-        artifact["init_objective"] = master.init_objective
-        artifact["sweeps"] = master.sweeps
+    if fit.master is not None:
+        artifact["objective"] = fit.master.objective
+        artifact["init_objective"] = fit.master.init_objective
+        artifact["sweeps"] = fit.master.sweeps
     return artifact
 
 
@@ -211,21 +192,33 @@ def _format_rank_artifact(artifact: dict, fmt: str) -> str:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    if not 2 <= args.k <= 8:
-        raise _UsageError("--k must be in [2, 8]")
+    master_opts = _master_options(args)
     counts = load_matches(read_match_csv(args.input))
     if args.filter != "none":
         counts, _ = filter_players(counts, args.filter)
-    ranking, scores, master = _rank_with_method(counts, args.method, args.k)
-    artifact = _ranking_artifact(counts, args.method, ranking, scores, master)
-    _emit(_format_rank_artifact(artifact, args.format), args.out)
+    fit = rank_counts(args.method, counts, master_opts)
+    _emit(_format_rank_artifact(_ranking_artifact(counts, args.method, fit), args.format), args.out)
     return 0
 
 
-def _artifact_ranks(artifact: dict) -> dict[str, int]:
-    players = artifact["players"]
+def _read_ranking_artifact(path: str) -> tuple[str, dict[str, int]]:
+    """Method name and label -> rank (n is best) of a ranking artifact written by `rank`."""
+    try:
+        artifact = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read ranking artifact {path}: {exc}") from exc
+    try:
+        players = artifact["players"]
+        labels = [p["label"] for p in players]
+        positions = sorted(p["position"] for p in players)
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"ranking artifact {path}: no players list with label, position") from exc
     n = len(players)
-    return {p["label"]: n - p["position"] + 1 for p in players}
+    if not all(isinstance(label, str) for label in labels) or len(set(labels)) != n:
+        raise DataError(f"ranking artifact {path}: player labels must be distinct strings")
+    if positions != list(range(1, n + 1)):
+        raise DataError(f"ranking artifact {path}: positions must be 1..{n}")
+    return artifact.get("method", path), {p["label"]: n - p["position"] + 1 for p in players}
 
 
 def _aligned_rankings(ranks_a: dict[str, int], ranks_b: dict[str, int]) -> tuple[Ranking, Ranking, list[str]]:
@@ -239,8 +232,7 @@ def _aligned_rankings(ranks_a: dict[str, int], ranks_b: dict[str, int]) -> tuple
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    if not 2 <= args.k <= 8:
-        raise _UsageError("--k must be in [2, 8]")
+    master_opts = _master_options(args)
     h2h_requests = []
     for request in args.h2h:
         parts = [p.strip() for p in request.split(",")]
@@ -253,14 +245,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         paths = [p.strip() for p in args.rankings.split(",")]
         if len(paths) != 2:
             raise _UsageError("--rankings expects two comma-separated paths")
-        artifacts = []
-        for p in paths:
-            try:
-                artifacts.append(json.loads(Path(p).read_text(encoding="utf-8")))
-            except (OSError, json.JSONDecodeError) as exc:
-                raise DataError(f"cannot read ranking artifact {p}: {exc}") from exc
-        names = [a.get("method", p) for a, p in zip(artifacts, paths)]
-        ranks_a, ranks_b = (_artifact_ranks(a) for a in artifacts)
+        (name_a, ranks_a), (name_b, ranks_b) = (_read_ranking_artifact(p) for p in paths)
+        names = [name_a, name_b]
         if args.input:
             raw_counts = load_matches(read_match_csv(args.input))
     elif args.input and args.methods:
@@ -272,16 +258,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if args.filter != "none":
             counts, _ = filter_players(counts, args.filter)
         names = methods
-        sides = []
-        for m in methods:
-            ranking, scores, master = _rank_with_method(counts, m, args.k)
-            sides.append(_artifact_ranks(_ranking_artifact(counts, m, ranking, scores, master)))
-        ranks_a, ranks_b = sides
+        fits = [rank_counts(m, counts, master_opts) for m in methods]
+        ranks_a, ranks_b = (
+            {counts.label(i): int(r) for i, r in enumerate(fit.ranking.ranks)} for fit in fits
+        )
     else:
         raise _UsageError("need either --rankings a,b or --input FILE --methods m1,m2")
 
     ra, rb, _ = _aligned_rankings(ranks_a, ranks_b)
     n = ra.n
+    if n < 2:
+        raise DataError("need at least 2 players to compare rankings")
     tau = kendall_tau(ra, rb)
     tau_corr = 1.0 - 4.0 * tau / (n * (n - 1))
     rho = spearman_rho(ra, rb)

@@ -199,66 +199,26 @@ def load_matches(records: Sequence[MatchRecord]) -> ComparisonCounts:
                 index[name] = len(index)
         games.append((index[winner], index[loser]))
     n = len(index)
-    win = np.zeros((n, n), dtype=np.int64)
-    for w, l in games:
-        win[w, l] += 1
+    winners, losers = np.array(games, dtype=np.int64).T
+    win = np.bincount(winners * n + losers, minlength=n * n).reshape(n, n)
     return ComparisonCounts(win + win.T, win, labels=tuple(index))
 
 
-def strongly_connected_components(adjacency: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Strongly connected components of a digraph, each sorted ascending.
+def same_strong_component(counts: ComparisonCounts) -> np.ndarray:
+    """``same[i, j]`` iff players i and j reach each other along win edges (i -> j iff i beat j).
 
-    Iterative Tarjan, so deep graphs do not hit the recursion limit.
+    Reachability is the transitive closure by repeated squaring; float32
+    products of 0/1 matrices are exact up to 2**24 players. Not
+    ``scipy.sparse.csgraph``: importing it adds about 10 MB of resident
+    memory to every process that fits Bradley-Terry.
     """
-    n = len(adjacency)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pos = work[-1]
-            if pos == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            neighbours = adjacency[v]
-            for i in range(pos, len(neighbours)):
-                w = neighbours[i]
-                if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    descended = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(sorted(comp))
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-    return components
-
-
-def _win_graph(counts: ComparisonCounts) -> list[list[int]]:
-    return [np.flatnonzero(counts.win_counts[i] > 0).tolist() for i in range(counts.n)]
+    reach = (counts.win_counts > 0) | np.eye(counts.n, dtype=bool)
+    while True:
+        paths = reach.astype(np.float32)
+        grown = (paths @ paths) > 0
+        if np.array_equal(grown, reach):
+            return reach & reach.T
+        reach = grown
 
 
 def filter_players(
@@ -268,7 +228,7 @@ def filter_players(
 
     ``"no-wins"`` removes, in a single pass, every player without a single
     win. ``"bt-connected"`` keeps only the largest strongly connected
-    component of the win digraph (edge i -> j iff ``win_counts[i, j] > 0``),
+    component of the win digraph (see :func:`same_strong_component`),
     which is the precondition for a well-posed Bradley-Terry likelihood.
     The index map sends new indices to original ones.
     """
@@ -277,13 +237,12 @@ def filter_players(
     if policy == "no-wins":
         keep = np.flatnonzero(counts.win_counts.sum(axis=1) > 0)
     else:
-        components = strongly_connected_components(_win_graph(counts))
-        # Largest component; among equal sizes take the one holding the
-        # smallest original index, for determinism.
-        best = max(components, key=lambda c: (len(c), -c[0]))
-        if len(best) < 2:
+        same = same_strong_component(counts)
+        # argmax takes the first row of largest size: among equal-size
+        # components, the one holding the smallest original index
+        keep = np.flatnonzero(same[same.sum(axis=1).argmax()])
+        if keep.size < 2:
             raise DataError("no strongly connected component with at least 2 players")
-        keep = np.array(best, dtype=np.int64)
     if keep.size == 0:
         raise DataError(f"filter {policy!r} removed every player")
     sub = np.ix_(keep, keep)
@@ -356,8 +315,12 @@ def skew_statistic(counts: ComparisonCounts) -> np.ndarray:
 
 
 def read_match_csv(path) -> list[MatchRecord]:
-    """Read a ``winner,loser`` match file (UTF-8, one game per row)."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """Read a ``winner,loser`` match file (UTF-8, one game per row).
+
+    A leading UTF-8 byte-order mark, as some spreadsheet exports write, is
+    skipped.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

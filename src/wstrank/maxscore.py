@@ -24,8 +24,6 @@ from .errors import NumericError
 
 MAX_TUPLE_LEN = 8  # K! enumeration guard
 
-TIE_BREAKS = ("index",)
-
 
 @dataclass(frozen=True)
 class MasterOptions:
@@ -41,7 +39,6 @@ class MasterOptions:
     surrogate_step: float | None = None
     surrogate_iters: int = 500
     surrogate_ridge: float = 1e-4
-    tie_break: str = "index"
 
     def __post_init__(self) -> None:
         if not 2 <= self.k <= MAX_TUPLE_LEN:
@@ -52,8 +49,6 @@ class MasterOptions:
             raise ValueError("surrogate_iters must be positive")
         if self.surrogate_ridge < 0:
             raise ValueError("surrogate_ridge must be non-negative")
-        if self.tie_break not in TIE_BREAKS:
-            raise ValueError(f"unknown tie_break {self.tie_break!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +57,6 @@ class MasterResult:
 
     ranking: Ranking
     objective: int
-    init_ranking: Ranking
     init_objective: int
     sweeps: int
 
@@ -199,7 +193,7 @@ def ktuple_search(counts: ComparisonCounts, init: Ranking, k: int) -> MasterResu
             t += 1
     ranks = np.empty(n, dtype=np.int64)
     ranks[order] = np.arange(1, n + 1)
-    return MasterResult(Ranking(ranks), objective, init, init_objective, sweeps)
+    return MasterResult(Ranking(ranks), objective, init_objective, sweeps)
 
 
 def master_rank(counts: ComparisonCounts, opts: MasterOptions | None = None) -> MasterResult:
@@ -210,8 +204,7 @@ def master_rank(counts: ComparisonCounts, opts: MasterOptions | None = None) -> 
     """
     opts = opts or MasterOptions()
     if counts.n == 1:
-        only = Ranking.identity(1)
-        return MasterResult(only, 0, only, 0, 0)
+        return MasterResult(Ranking.identity(1), 0, 0, 0)
     _, init = surrogate_init(counts, opts)
     return ktuple_search(counts, init, min(opts.k, counts.n))
 

@@ -18,10 +18,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import expit
 
-from .baselines import BtOptions, UsvtOptions, borda_rank, bt_fit, usvt_rank
+from .baselines import BtOptions, UsvtOptions, borda_scores, bt_fit, usvt_rank
 from .data import ComparisonCounts, MatchRecord, ProbabilityMatrix, Ranking
 from .errors import ConvergenceError, NotConnectedError
-from .maxscore import MasterOptions, certify, master_rank
+from .maxscore import MasterOptions, MasterResult, certify, master_rank
 from .metrics import error_rate, kendall_tau
 
 SCENARIOS = ("uniform", "two_group", "bt_latent")
@@ -38,6 +38,43 @@ STUDY_CSV_COLUMNS = (
     "cert_rate",
     "secs",
 )
+
+
+@dataclass(frozen=True, eq=False)
+class Fit:
+    """A method's ranking, the per-player scores it sorts by, and master's search result."""
+
+    ranking: Ranking
+    scores: np.ndarray
+    master: MasterResult | None = None
+
+
+def rank_counts(
+    method: str,
+    counts: ComparisonCounts,
+    master_opts: MasterOptions | None = None,
+    bt_opts: BtOptions | None = None,
+    usvt_opts: UsvtOptions | None = None,
+) -> Fit:
+    """Fit one of :data:`METHODS`; each options object applies to its own method only.
+
+    Scores are win-fraction sums (counting), Bradley-Terry log-strengths (bt),
+    estimated win-probability row sums (usvt), or the ranks themselves (master,
+    whose objective gives no per-player score).
+    """
+    if method == "counting":
+        scores = borda_scores(counts)
+        return Fit(Ranking.from_scores(scores), scores)
+    if method == "bt":
+        beta, ranking = bt_fit(counts, bt_opts)
+        return Fit(ranking, beta)
+    if method == "usvt":
+        estimate, ranking = usvt_rank(counts, usvt_opts)
+        return Fit(ranking, estimate.probs.sum(axis=1))
+    if method == "master":
+        result = master_rank(counts, master_opts)
+        return Fit(result.ranking, result.ranking.ranks.astype(float), result)
+    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 @dataclass(frozen=True)
@@ -199,31 +236,6 @@ class StudyResult:
         )
 
 
-def _apply_method(
-    method: str,
-    counts: ComparisonCounts,
-    truth: Ranking,
-    master_opts: MasterOptions,
-    bt_opts: BtOptions,
-    usvt_opts: UsvtOptions,
-) -> tuple[int, float, bool | None]:
-    start = time.perf_counter()
-    cert = None
-    if method == "counting":
-        ranking = borda_rank(counts)
-    elif method == "bt":
-        _, ranking = bt_fit(counts, bt_opts)
-    elif method == "usvt":
-        _, ranking = usvt_rank(counts, usvt_opts)
-    else:
-        result = master_rank(counts, master_opts)
-        ranking = result.ranking
-    elapsed = time.perf_counter() - start
-    if method == "master":
-        cert = certify(ranking, truth, counts)[0]
-    return kendall_tau(ranking, truth), elapsed, cert
-
-
 def run_study(
     config: SimConfig,
     methods: tuple[str, ...] = METHODS,
@@ -244,9 +256,6 @@ def run_study(
             raise ValueError(f"unknown method {m!r}; expected a subset of {METHODS}")
     if config.replicates < 2:
         raise ValueError("replicates must be at least 2 to estimate standard errors")
-    master_opts = master_opts or MasterOptions()
-    bt_opts = bt_opts or BtOptions()
-    usvt_opts = usvt_opts or UsvtOptions()
     ordered = tuple(m for m in METHODS if m in methods)
 
     def run_one(replicate: int) -> dict[str, tuple[int, float, bool | None] | None]:
@@ -255,12 +264,15 @@ def run_study(
         counts = gen_counts(P_star, config, rng)
         out: dict[str, tuple[int, float, bool | None] | None] = {}
         for method in ordered:
+            start = time.perf_counter()
             try:
-                out[method] = _apply_method(
-                    method, counts, truth, master_opts, bt_opts, usvt_opts
-                )
+                fit = rank_counts(method, counts, master_opts, bt_opts, usvt_opts)
             except (NotConnectedError, ConvergenceError):
                 out[method] = None
+                continue
+            elapsed = time.perf_counter() - start
+            cert = None if fit.master is None else certify(fit.ranking, truth, counts)[0]
+            out[method] = (kendall_tau(fit.ranking, truth), elapsed, cert)
         return out
 
     indices = range(config.replicates)

@@ -72,6 +72,19 @@ def is_strongly_connected(win) -> bool:
     return len(_reachable(forward, 0)) == n and len(_reachable(backward, 0)) == n
 
 
+def largest_strong_component(win) -> tuple[int, ...]:
+    """Largest strongly connected component of the win digraph (edge i -> j iff win[i, j] > 0).
+
+    Players i and j share a component iff each reaches the other. Among
+    components of equal size the one holding the smallest index is taken.
+    """
+    n = win.shape[0]
+    forward = [list(np.flatnonzero(win[i] > 0)) for i in range(n)]
+    reach = [_reachable(forward, v) for v in range(n)]
+    components = {tuple(w for w in sorted(reach[v]) if v in reach[w]) for v in range(n)}
+    return min(components, key=lambda c: (-len(c), c[0]))
+
+
 def brute_wst_violations(probs, tol: float = 0.0) -> list[tuple[int, int, int]]:
     n = probs.shape[0]
     out = []

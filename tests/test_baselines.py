@@ -62,13 +62,6 @@ class TestBorda:
         tripled = ComparisonCounts(3 * counts.pair_counts, 3 * counts.win_counts)
         assert borda_rank(counts) == borda_rank(tripled)
 
-    def test_wins_variant(self):
-        counts, _ = random_instance(6, 15)
-        ranking = borda_rank(counts, scoring="wins")
-        assert ranking.n == 15
-        with pytest.raises(ValueError):
-            borda_rank(counts, scoring="median")
-
     def test_unplayed_players_sink_by_index(self):
         # player 1 (middle) has no games at all
         pair = np.array([[0, 0, 4], [0, 0, 0], [4, 0, 0]])

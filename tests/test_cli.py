@@ -58,6 +58,13 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_threads_below_one_is_usage_error(self, capsys):
+        code = main(
+            ["simulate", "--scenario", "uniform", "--n", "10", "--reps", "2", "--threads", "0"]
+        )
+        assert code == 2
+        assert "--threads" in capsys.readouterr().err
+
     def test_deterministic_apart_from_timing(self, tmp_path):
         args = [
             "simulate",
@@ -146,13 +153,13 @@ class TestRank:
         assert main(["rank", "--input", str(tmp_path / "nope.csv"), "--method", "master"]) == 3
 
     def test_numeric_failure_exits_4(self, small_matches, monkeypatch, capsys):
-        import wstrank.cli
+        import wstrank.simulation
         from wstrank.errors import ConvergenceError
 
         def explode(counts, opts=None):
             raise ConvergenceError("did not converge", beta=None)
 
-        monkeypatch.setattr(wstrank.cli, "bt_fit", explode)
+        monkeypatch.setattr(wstrank.simulation, "bt_fit", explode)
         code = main(["rank", "--input", str(small_matches), "--method", "bt"])
         assert code == 4
         assert "converge" in capsys.readouterr().err
@@ -251,6 +258,23 @@ class TestCompare:
         assert code == 3
         err = capsys.readouterr().err
         assert "B" in err and "Z" in err
+
+    @pytest.mark.parametrize(
+        "players",
+        [
+            None,  # no players list at all
+            [{"position": 1, "label": "A"}, {"position": 2, "label": "A"}],
+            [{"position": 1, "label": "A"}, {"position": 3, "label": "B"}],
+            [{"position": 1, "label": "A"}],  # too few players to compare
+        ],
+        ids=["missing-players", "duplicate-labels", "bad-positions", "single-player"],
+    )
+    def test_malformed_artifact_is_data_error(self, tmp_path, capsys, players):
+        artifact = {"method": "x"} if players is None else {"method": "x", "players": players}
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(artifact))
+        assert main(["compare", "--rankings", f"{path},{path}"]) == 3
+        assert "error:" in capsys.readouterr().err
 
     def test_head_to_head(self, small_matches, capsys):
         code = main(

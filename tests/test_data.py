@@ -25,11 +25,44 @@ from wstrank import (
 )
 from wstrank.simulation import replicate_rng
 
-from oracles import brute_wst_violations, is_strongly_connected
+from oracles import brute_wst_violations, is_strongly_connected, largest_strong_component
 
 
 def records(*pairs):
     return [MatchRecord(w, l) for w, l in pairs]
+
+
+@st.composite
+def win_digraphs(draw):
+    """Random win matrices; edge i -> j iff i beat j at least once."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    win = np.zeros((n, n), dtype=int)
+    for a, b in edges:
+        if a != b:
+            win[a, b] += 1
+    return win
+
+
+@st.composite
+def twin_cycles(draw):
+    """Two disjoint directed cycles of equal size on shuffled indices.
+
+    An optional one-way edge joins them without merging them, and the
+    remaining players only lose, so the two cycles tie for largest.
+    """
+    size = draw(st.integers(min_value=2, max_value=4))
+    n = 2 * size + draw(st.integers(min_value=0, max_value=2))
+    perm = draw(st.permutations(range(n)))
+    win = np.zeros((n, n), dtype=int)
+    for cycle in (perm[:size], perm[size : 2 * size]):
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            win[a, b] = 1
+    if draw(st.booleans()):
+        win[perm[0], perm[size]] = 1
+    for loser in perm[2 * size :]:
+        win[perm[0], loser] = 1
+    return win
 
 
 class TestLoadMatches:
@@ -170,6 +203,17 @@ class TestFilterPlayers:
         assert again == reduced
         assert mapping2 == tuple(range(reduced.n))
 
+    @given(st.one_of(win_digraphs(), twin_cycles()))
+    @settings(max_examples=200, deadline=None)
+    def test_bt_connected_matches_reachability_oracle(self, win):
+        counts = ComparisonCounts(win + win.T, win)
+        expected = largest_strong_component(win)
+        if len(expected) < 2:
+            with pytest.raises(DataError, match="strongly connected"):
+                filter_players(counts, "bt-connected")
+        else:
+            assert filter_players(counts, "bt-connected")[1] == expected
+
     def test_all_removed_is_an_error(self):
         zero = np.zeros((3, 3), dtype=int)
         counts = ComparisonCounts(zero, zero)
@@ -271,6 +315,11 @@ class TestSerialization:
         path = tmp_path / "m.csv"
         write_match_csv(path, recs)
         assert read_match_csv(path) == recs
+
+    def test_match_csv_skips_byte_order_mark(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("winner,loser\nA,B\n", encoding="utf-8-sig")
+        assert read_match_csv(path) == records(("A", "B"))
 
     def test_match_csv_bad_header(self, tmp_path):
         path = tmp_path / "m.csv"

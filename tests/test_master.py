@@ -201,7 +201,7 @@ class TestMasterRank:
         direct = master_rank(counts, opts)
         assert direct.ranking == composed.ranking
         assert direct.objective == composed.objective
-        assert direct.init_ranking == composed.init_ranking
+        assert direct.init_objective == composed.init_objective
         assert direct.sweeps == composed.sweeps
 
     def test_matches_exhaustive_maximum_with_full_window(self):
@@ -255,5 +255,3 @@ class TestOptions:
             MasterOptions(surrogate_ridge=-1.0)
         with pytest.raises(ValueError):
             MasterOptions(surrogate_step=0.0)
-        with pytest.raises(ValueError):
-            MasterOptions(tie_break="random")

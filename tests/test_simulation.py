@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wstrank import (
+    METHODS,
     ProbabilityMatrix,
     Ranking,
     SimConfig,
@@ -11,6 +12,7 @@ from wstrank import (
     gen_counts,
     gen_probabilities,
     load_matches,
+    rank_counts,
     run_study,
     synthetic_matches,
 )
@@ -136,6 +138,22 @@ def _probs_and_cfg(cfg, replicate):
 
 def _strip_secs(csv_text):
     return ["," .join(line.split(",")[:-1]) for line in csv_text.splitlines()]
+
+
+class TestRankCounts:
+    def test_ranking_follows_scores(self):
+        cfg = SimConfig(scenario="two_group", n=12, seed=2)
+        rng = replicate_rng(2, 0)
+        counts = gen_counts(gen_probabilities(cfg, rng)[0], cfg, rng)
+        for method in METHODS:
+            fit = rank_counts(method, counts)
+            assert fit.ranking == Ranking.from_scores(fit.scores)
+            assert (fit.master is not None) == (method == "master")
+
+    def test_unknown_method(self):
+        counts = load_matches(synthetic_matches(5, 1.0, seed=1))
+        with pytest.raises(ValueError, match="unknown method"):
+            rank_counts("elo", counts)
 
 
 class TestRunStudy:
