@@ -19,7 +19,8 @@ from .data import ComparisonCounts, Ranking, filter_players, load_matches, read_
 from .errors import AlignmentError, DataError, NumericError
 from .maxscore import MasterOptions
 from .metrics import kendall_tau, spearman_rho
-from .simulation import METHODS, SCENARIOS, Fit, SimConfig, rank_counts, run_study
+from .simulation import METHODS, SCENARIOS, Fit, SimConfig, StudyResult, rank_counts, run_study
+from .simulation import study_methods
 
 FORMATS = ("table", "csv", "json")
 
@@ -38,18 +39,18 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=FORMATS, default="table")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
 
-    sim = sub.add_parser("simulate", help="run a replicated simulation study")
-    sim.add_argument("--scenario", choices=SCENARIOS, required=True)
-    sim.add_argument("--n", type=int, required=True)
+    sim = sub.add_parser("simulate", help="run replicated simulation studies over a grid")
+    sim.add_argument("--scenario", required=True, help="comma-separated: " + ",".join(SCENARIOS))
+    sim.add_argument("--n", required=True, help="comma-separated player counts, e.g. 100,200,500")
     sim.add_argument("--t", type=int, default=5, help="max games per pair")
     sim.add_argument("--xi-low", type=float, default=0.3)
     sim.add_argument("--xi-high", type=float, default=0.5)
     sim.add_argument("--reps", type=int, default=100)
     sim.add_argument("--methods", default=",".join(METHODS))
     sim.add_argument("--k", type=int, default=3, help="search window length")
+    sim.add_argument("--threads", type=int, default=1)
+    sim.add_argument("--seed", type=int, default=0)
     add_common(sim)
     sim.set_defaults(func=cmd_simulate)
 
@@ -99,49 +100,55 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
-        config = SimConfig(
-            scenario=args.scenario,
-            n=args.n,
-            t_max=args.t,
-            xi_low=args.xi_low,
-            xi_high=args.xi_high,
-            replicates=args.reps,
-            seed=args.seed,
-        )
-        methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+        configs = [
+            SimConfig(
+                scenario=scenario.strip(),
+                n=int(n),
+                t_max=args.t,
+                xi_low=args.xi_low,
+                xi_high=args.xi_high,
+                replicates=args.reps,
+                seed=args.seed,
+            )
+            for scenario in args.scenario.split(",")
+            for n in args.n.split(",")
+        ]
+        methods = study_methods(tuple(m.strip() for m in args.methods.split(",") if m.strip()))
         master_opts = MasterOptions(k=args.k)
-        if args.reps < 2:
-            raise ValueError("--reps must be at least 2")
         if args.threads < 1:
             raise ValueError("--threads must be at least 1")
-        for m in methods:
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}")
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    result = run_study(config, methods=methods, master_opts=master_opts, threads=args.threads)
+    results = [run_study(c, methods, master_opts, args.threads) for c in configs]
     if args.format == "csv":
-        _emit(result.to_csv(), args.out)
+        text = "".join(r.to_csv(header=i == 0) for i, r in enumerate(results))
     elif args.format == "json":
-        _emit(result.to_json() + "\n", args.out)
+        payload = results[0].to_dict() if len(results) == 1 else [r.to_dict() for r in results]
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        rows = [
-            [
-                s.method,
-                f"{s.mean_error_pairs:.4f}",
-                f"{s.se_pairs:.4f}",
-                f"{s.mean_error_paper:.4f}",
-                f"{s.se_paper:.4f}",
-                "-" if s.cert_rate is None else f"{s.cert_rate:.2f}",
-                str(s.failures),
-                f"{s.secs:.3f}",
-            ]
-            for s in result.stats
-        ]
-        headers = ["method", "err_pairs", "se", "err_paper", "se", "cert", "failed", "secs"]
-        text = f"scenario={config.scenario} n={config.n} reps={config.replicates} seed={config.seed}\n"
-        _emit(text + _table(headers, rows), args.out)
+        text = "\n".join(_study_table(r) for r in results)
+    _emit(text, args.out)
     return 0
+
+
+def _study_table(result: StudyResult) -> str:
+    rows = [
+        [
+            s.method,
+            f"{s.mean_error_pairs:.4f}",
+            f"{s.se_pairs:.4f}",
+            f"{s.mean_error_paper:.4f}",
+            f"{s.se_paper:.4f}",
+            "-" if s.cert_rate is None else f"{s.cert_rate:.2f}",
+            str(s.failures),
+            f"{s.secs:.3f}",
+        ]
+        for s in result.stats
+    ]
+    headers = ["method", "err_pairs", "se", "err_paper", "se", "cert", "failed", "secs"]
+    c = result.config
+    text = f"scenario={c.scenario} n={c.n} reps={c.replicates} seed={c.seed}\n"
+    return text + _table(headers, rows)
 
 
 def _master_options(args: argparse.Namespace) -> MasterOptions:

@@ -23,32 +23,26 @@ from .data import ComparisonCounts, Ranking
 from .errors import NumericError
 
 MAX_TUPLE_LEN = 8  # K! enumeration guard
+SURROGATE_RIDGE = 1e-4  # keeps the surrogate's maximiser finite
 
 
 @dataclass(frozen=True)
 class MasterOptions:
     """Tuning knobs for the two-stage search.
 
-    ``surrogate_step`` of None selects 0.5/sqrt(mean opponents per player),
-    used as the starting step of a halving line search. Only rank(beta) is
-    consumed downstream, so the surrogate's absolute scale is immaterial; the
-    small ridge keeps its maximiser finite.
+    The surrogate ascent runs at most ``surrogate_iters`` steps. Each starts a
+    halving line search at 0.5/sqrt(mean opponents per player). Only rank(beta)
+    is consumed downstream, so the surrogate's absolute scale is immaterial.
     """
 
     k: int = 3
-    surrogate_step: float | None = None
     surrogate_iters: int = 500
-    surrogate_ridge: float = 1e-4
 
     def __post_init__(self) -> None:
         if not 2 <= self.k <= MAX_TUPLE_LEN:
             raise ValueError(f"k must be in [2, {MAX_TUPLE_LEN}]")
-        if self.surrogate_step is not None and not self.surrogate_step > 0:
-            raise ValueError("surrogate_step must be positive")
         if self.surrogate_iters <= 0:
             raise ValueError("surrogate_iters must be positive")
-        if self.surrogate_ridge < 0:
-            raise ValueError("surrogate_ridge must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,23 +102,19 @@ def surrogate_init(
     z = _net_wins(counts).astype(float)
     iu, ju = np.triu_indices(n, 1)
     z_upper = z[iu, ju]
-    ridge = opts.surrogate_ridge
 
     def objective(b: np.ndarray) -> float:
-        return float(z_upper @ expit(b[iu] - b[ju]) - ridge * (b @ b))
+        return float(z_upper @ expit(b[iu] - b[ju]) - SURROGATE_RIDGE * (b @ b))
 
-    if opts.surrogate_step is not None:
-        base_step = opts.surrogate_step
-    else:
-        mean_degree = float((counts.pair_counts > 0).sum(axis=1).mean())
-        base_step = 0.5 / math.sqrt(max(mean_degree, 1.0))
+    mean_degree = float((counts.pair_counts > 0).sum(axis=1).mean())
+    base_step = 0.5 / math.sqrt(max(mean_degree, 1.0))
 
     beta = np.zeros(n)
     obj = objective(beta)
     for _ in range(opts.surrogate_iters):
         diff = beta[:, None] - beta[None, :]
         sig = expit(diff)
-        grad = (z * (sig * (1.0 - sig))).sum(axis=1) - 2.0 * ridge * beta
+        grad = (z * (sig * (1.0 - sig))).sum(axis=1) - 2.0 * SURROGATE_RIDGE * beta
         if not np.all(np.isfinite(grad)):
             raise NumericError("non-finite gradient in surrogate ascent")
         if float(grad @ grad) == 0.0:

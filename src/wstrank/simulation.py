@@ -18,14 +18,23 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import expit
 
-from .baselines import BtOptions, UsvtOptions, borda_scores, bt_fit, usvt_rank
+from .baselines import borda_scores, bt_fit, usvt_rank
 from .data import ComparisonCounts, MatchRecord, ProbabilityMatrix, Ranking
-from .errors import ConvergenceError, NotConnectedError
+from .errors import DataError, NumericError
 from .maxscore import MasterOptions, MasterResult, certify, master_rank
 from .metrics import error_rate, kendall_tau
 
 SCENARIOS = ("uniform", "two_group", "bt_latent")
 METHODS = ("counting", "bt", "usvt", "master")
+
+
+def study_methods(methods: tuple[str, ...]) -> tuple[str, ...]:
+    """The requested methods in :data:`METHODS` order; ValueError for an unknown one."""
+    for m in methods:
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r}; expected a subset of {METHODS}")
+    return tuple(m for m in METHODS if m in methods)
+
 
 STUDY_CSV_COLUMNS = (
     "scenario",
@@ -50,13 +59,9 @@ class Fit:
 
 
 def rank_counts(
-    method: str,
-    counts: ComparisonCounts,
-    master_opts: MasterOptions | None = None,
-    bt_opts: BtOptions | None = None,
-    usvt_opts: UsvtOptions | None = None,
+    method: str, counts: ComparisonCounts, master_opts: MasterOptions | None = None
 ) -> Fit:
-    """Fit one of :data:`METHODS`; each options object applies to its own method only.
+    """Fit one of :data:`METHODS`; ``master_opts`` applies to master only.
 
     Scores are win-fraction sums (counting), Bradley-Terry log-strengths (bt),
     estimated win-probability row sums (usvt), or the ranks themselves (master,
@@ -66,10 +71,10 @@ def rank_counts(
         scores = borda_scores(counts)
         return Fit(Ranking.from_scores(scores), scores)
     if method == "bt":
-        beta, ranking = bt_fit(counts, bt_opts)
+        beta, ranking = bt_fit(counts)
         return Fit(ranking, beta)
     if method == "usvt":
-        estimate, ranking = usvt_rank(counts, usvt_opts)
+        estimate, ranking = usvt_rank(counts)
         return Fit(ranking, estimate.probs.sum(axis=1))
     if method == "master":
         result = master_rank(counts, master_opts)
@@ -112,8 +117,8 @@ class SimConfig:
             raise ValueError("t_max must be non-negative")
         if not 0 <= self.xi_low <= self.xi_high <= 1:
             raise ValueError("need 0 <= xi_low <= xi_high <= 1")
-        if self.replicates < 1:
-            raise ValueError("replicates must be at least 1")
+        if self.replicates < 2:
+            raise ValueError("replicates must be at least 2 to estimate standard errors")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if not self.bt_sd > 0:
@@ -184,7 +189,8 @@ class MethodStats:
     Standard errors are sample standard deviation / sqrt(replicates used).
     ``cert_rate`` is the fraction of replicates where the returned ranking
     scored at least as well as the truth (master only, None otherwise).
-    Failed replicates (e.g. a disconnected graph for BT) are counted in
+    Replicates where the method raised a data or numeric error (e.g. a
+    disconnected graph for BT, or no observed pair for USVT) are counted in
     ``failures`` and excluded from the means.
     """
 
@@ -228,20 +234,17 @@ class StudyResult:
             )
         return buf.getvalue()
 
+    def to_dict(self) -> dict:
+        return {"config": asdict(self.config), "methods": [asdict(s) for s in self.stats]}
+
     def to_json(self) -> str:
-        return json.dumps(
-            {"config": asdict(self.config), "methods": [asdict(s) for s in self.stats]},
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def run_study(
     config: SimConfig,
     methods: tuple[str, ...] = METHODS,
     master_opts: MasterOptions | None = None,
-    bt_opts: BtOptions | None = None,
-    usvt_opts: UsvtOptions | None = None,
     threads: int = 1,
 ) -> StudyResult:
     """Replicated comparison of ranking methods on freshly simulated data.
@@ -251,12 +254,7 @@ def run_study(
     normalizations plus the score certificate for master. Deterministic for
     a given config regardless of ``threads``.
     """
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; expected a subset of {METHODS}")
-    if config.replicates < 2:
-        raise ValueError("replicates must be at least 2 to estimate standard errors")
-    ordered = tuple(m for m in METHODS if m in methods)
+    ordered = study_methods(methods)
 
     def run_one(replicate: int) -> dict[str, tuple[int, float, bool | None] | None]:
         rng = replicate_rng(config.seed, replicate)
@@ -266,8 +264,8 @@ def run_study(
         for method in ordered:
             start = time.perf_counter()
             try:
-                fit = rank_counts(method, counts, master_opts, bt_opts, usvt_opts)
-            except (NotConnectedError, ConvergenceError):
+                fit = rank_counts(method, counts, master_opts)
+            except (DataError, NumericError):
                 out[method] = None
                 continue
             elapsed = time.perf_counter() - start

@@ -1,9 +1,26 @@
+import itertools
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wstrank import MatchRecord, synthetic_matches, write_match_csv
+from wstrank import (
+    METHODS,
+    SCENARIOS,
+    MasterOptions,
+    MatchRecord,
+    SimConfig,
+    run_study,
+    synthetic_matches,
+    write_match_csv,
+)
 from wstrank.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_matches(path, pairs):
@@ -93,6 +110,71 @@ class TestSimulate:
         assert code == 0
         text = capsys.readouterr().out
         assert "method" in text and "master" in text
+
+    def test_grid_csv_concatenates_settings(self, tmp_path):
+        out = tmp_path / "grid.csv"
+        grid = ["--scenario", "uniform,two_group", "--n", "10,12", "--reps", "2", "--seed", "0"]
+        code = main(["simulate", *grid, "--k", "5", "--format", "csv", "--out", str(out)])
+        assert code == 0
+
+        def expected(k):
+            grid_settings = itertools.product(("uniform", "two_group"), (10, 12))
+            return "".join(
+                run_study(
+                    SimConfig(scenario=scenario, n=n, replicates=2, seed=0),
+                    master_opts=MasterOptions(k=k),
+                ).to_csv(header=i == 0)
+                for i, (scenario, n) in enumerate(grid_settings)
+            )
+
+        def strip_secs(text):
+            return [line.rsplit(",", 1)[0] for line in text.splitlines()]
+
+        assert strip_secs(expected(5)) != strip_secs(expected(3))  # so --k must reach master
+        assert strip_secs(out.read_text()) == strip_secs(expected(5))
+
+    def test_grid_json_lists_settings_in_order(self, capsys):
+        code = main(
+            ["simulate", "--scenario", "uniform,bt_latent", "--n", "8,10", "--reps", "2"]
+            + ["--methods", "counting", "--format", "json"]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        order = [(p["config"]["scenario"], p["config"]["n"]) for p in payload]
+        assert order == [("uniform", 8), ("uniform", 10), ("bt_latent", 8), ("bt_latent", 10)]
+
+    def test_bad_setting_exits_before_any_study(self, capsys):
+        code = main(["simulate", "--scenario", "uniform,two_group", "--n", "10,11", "--reps", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "even" in captured.err
+
+    def test_failures_counted_per_method(self, capsys):
+        # with no games BT sees a disconnected graph and USVT no observed pair
+        code = main(["simulate", "--scenario", "uniform", "--n", "10", "--reps", "2", "--t", "0"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        column = lines[1].split().index("failed")
+        failed = {row.split()[0]: int(row.split()[column]) for row in lines[2:]}
+        assert failed == {"counting": 0, "bt": 2, "usvt": 2, "master": 0}
+
+    @given(
+        scenarios=st.lists(st.sampled_from(SCENARIOS + ("bogus",)), min_size=1, max_size=2),
+        sizes=st.lists(st.integers(-1, 12), min_size=1, max_size=2),
+        t=st.integers(-1, 3),
+        reps=st.integers(0, 3),
+        xi=st.tuples(st.floats(-0.2, 1.2), st.floats(-0.2, 1.2)),
+        methods=st.lists(st.sampled_from(METHODS + ("elo",)), max_size=3),
+        k=st.integers(1, 9),
+        threads=st.integers(-1, 3),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_exit_code_contract(self, scenarios, sizes, t, reps, xi, methods, k, threads):
+        argv = ["simulate", "--scenario", ",".join(scenarios), "--n", ",".join(map(str, sizes))]
+        argv += ["--t", str(t), "--reps", str(reps), "--methods", ",".join(methods)]
+        argv += ["--xi-low", str(xi[0]), "--xi-high", str(xi[1])]
+        argv += ["--k", str(k), "--threads", str(threads)]
+        assert main(argv + ["--format", "csv"]) in {0, 2, 3, 4}
 
 
 class TestRank:
@@ -308,6 +390,28 @@ class TestCompare:
 
     def test_requires_a_mode(self, capsys):
         assert main(["compare"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", "--method", "counting", "--threads", "2"],
+        ["compare", "--methods", "counting,bt", "--seed", "1"],
+    ],
+)
+def test_study_flags_rejected_outside_simulate(small_matches, argv):
+    assert main([*argv, "--input", str(small_matches)]) == 2
+
+
+def test_synthetic_match_script_feeds_rank(tmp_path, capsys):
+    path = tmp_path / "matches.csv"
+    script = ROOT / "scripts" / "make_synthetic_matches.py"
+    subprocess.run(
+        [sys.executable, str(script), "--players", "20", "--density", "0.5", "--out", str(path)],
+        check=True,
+        capture_output=True,
+    )
+    assert main(["rank", "--input", str(path), "--method", "master"]) == 0
 
 
 class TestScaleSmoke:

@@ -251,7 +251,3 @@ class TestOptions:
     def test_other_bounds(self):
         with pytest.raises(ValueError):
             MasterOptions(surrogate_iters=0)
-        with pytest.raises(ValueError):
-            MasterOptions(surrogate_ridge=-1.0)
-        with pytest.raises(ValueError):
-            MasterOptions(surrogate_step=0.0)

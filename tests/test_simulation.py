@@ -184,9 +184,8 @@ class TestRunStudy:
         assert math.isfinite(counting.mean_error_pairs)
 
     def test_validates_inputs(self):
-        cfg = SimConfig(scenario="uniform", n=10, replicates=1, seed=0)
         with pytest.raises(ValueError, match="replicates"):
-            run_study(cfg)
+            SimConfig(scenario="uniform", n=10, replicates=1, seed=0)
         cfg = SimConfig(scenario="uniform", n=10, replicates=3, seed=0)
         with pytest.raises(ValueError, match="method"):
             run_study(cfg, methods=("counting", "elo"))
