@@ -96,25 +96,30 @@ def surrogate_init(
     penalised objective is non-decreasing across iterations by construction.
     If ``trace`` is a list, the objective value after each accepted step is
     appended to it.
+
+    The sums run over the m decisive pairs (z_ij != 0) only; the others add
+    nothing. Each line-search trial and each gradient therefore costs
+    O(m + n), not O(n^2), and the gradient reuses the sigmoids computed for
+    the accepted trial.
     """
     opts = opts or MasterOptions()
     n = counts.n
-    z = _net_wins(counts).astype(float)
-    iu, ju = np.triu_indices(n, 1)
-    z_upper = z[iu, ju]
+    z = _net_wins(counts)
+    lo, hi = np.nonzero(np.triu(z, 1))
+    zw = z[lo, hi].astype(float)
 
-    def objective(b: np.ndarray) -> float:
-        return float(z_upper @ expit(b[iu] - b[ju]) - SURROGATE_RIDGE * (b @ b))
+    def objective(b: np.ndarray) -> tuple[float, np.ndarray]:
+        sig = expit(np.take(b, lo) - np.take(b, hi))
+        return float(zw @ sig - SURROGATE_RIDGE * (b @ b)), sig
 
     mean_degree = float((counts.pair_counts > 0).sum(axis=1).mean())
     base_step = 0.5 / math.sqrt(max(mean_degree, 1.0))
 
     beta = np.zeros(n)
-    obj = objective(beta)
+    obj, sig = objective(beta)
     for _ in range(opts.surrogate_iters):
-        diff = beta[:, None] - beta[None, :]
-        sig = expit(diff)
-        grad = (z * (sig * (1.0 - sig))).sum(axis=1) - 2.0 * SURROGATE_RIDGE * beta
+        g = zw * (sig * (1.0 - sig))
+        grad = np.bincount(lo, g, n) - np.bincount(hi, g, n) - 2.0 * SURROGATE_RIDGE * beta
         if not np.all(np.isfinite(grad)):
             raise NumericError("non-finite gradient in surrogate ascent")
         if float(grad @ grad) == 0.0:
@@ -124,16 +129,16 @@ def surrogate_init(
         for _ in range(40):
             candidate = beta + step * grad
             candidate = candidate - candidate.mean()
-            cand_obj = objective(candidate)
+            cand_obj, cand_sig = objective(candidate)
             if not math.isfinite(cand_obj):
                 raise NumericError("non-finite objective in surrogate ascent")
             if cand_obj >= obj:
-                accepted = (candidate, cand_obj)
+                accepted = (candidate, cand_obj, cand_sig)
                 break
             step *= 0.5
         if accepted is None:
             break  # no ascent direction at float precision
-        beta, obj = accepted
+        beta, obj, sig = accepted
         if trace is not None:
             trace.append(obj)
     return beta, Ranking.from_scores(beta)

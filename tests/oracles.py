@@ -7,8 +7,12 @@ oracles against the optimised library code and must not share its shortcuts.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
+from scipy.special import expit
+
+from wstrank.maxscore import SURROGATE_RIDGE
 
 
 def brute_kendall(ranks_a, ranks_b) -> int:
@@ -138,3 +142,48 @@ def bt_oracle_beta(win) -> np.ndarray:
     )
     beta = np.append(result.x, -result.x.sum())
     return beta - beta.mean()
+
+
+def dense_surrogate_init(win, iters: int) -> tuple[np.ndarray, list]:
+    """Logistic-surrogate ascent over all n x n pairs; returns (beta, trace).
+
+    The dense form of ``maxscore.surrogate_init``: every pair enters the
+    objective and the gradient, including unplayed and drawn ones, and each
+    step recomputes the full n x n sigmoid matrix.
+    """
+    win = np.asarray(win)
+    n = win.shape[0]
+    z = (win - win.T).astype(float)
+    iu, ju = np.triu_indices(n, 1)
+    z_upper = z[iu, ju]
+
+    def objective(b: np.ndarray) -> float:
+        return float(z_upper @ expit(b[iu] - b[ju]) - SURROGATE_RIDGE * (b @ b))
+
+    mean_degree = float(((win + win.T) > 0).sum(axis=1).mean())
+    base_step = 0.5 / math.sqrt(max(mean_degree, 1.0))
+
+    trace: list = []
+    beta = np.zeros(n)
+    obj = objective(beta)
+    for _ in range(iters):
+        diff = beta[:, None] - beta[None, :]
+        sig = expit(diff)
+        grad = (z * (sig * (1.0 - sig))).sum(axis=1) - 2.0 * SURROGATE_RIDGE * beta
+        if float(grad @ grad) == 0.0:
+            break
+        step = base_step
+        accepted = None
+        for _ in range(40):
+            candidate = beta + step * grad
+            candidate = candidate - candidate.mean()
+            cand_obj = objective(candidate)
+            if cand_obj >= obj:
+                accepted = (candidate, cand_obj)
+                break
+            step *= 0.5
+        if accepted is None:
+            break
+        beta, obj = accepted
+        trace.append(obj)
+    return beta, trace

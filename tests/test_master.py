@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wstrank import (
     ComparisonCounts,
@@ -17,7 +19,7 @@ from wstrank import (
 )
 from wstrank.simulation import replicate_rng
 
-from oracles import brute_score, exhaustive_max_score
+from oracles import brute_score, dense_surrogate_init, exhaustive_max_score
 
 
 def counts_from_wins(win):
@@ -25,11 +27,31 @@ def counts_from_wins(win):
     return ComparisonCounts(win + win.T, win)
 
 
-def random_instance(seed, n, **kwargs):
-    cfg = SimConfig(scenario="uniform", n=n, seed=seed, **kwargs)
+def random_instance(seed, n, scenario="uniform", **kwargs):
+    cfg = SimConfig(scenario=scenario, n=n, seed=seed, **kwargs)
     rng = replicate_rng(seed, 0)
     P, truth = gen_probabilities(cfg, rng)
     return gen_counts(P, cfg, rng), truth
+
+
+@st.composite
+def surrogate_instances(draw):
+    """Win matrices, n <= 30, mostly sparse, with drawn pairs and isolated players."""
+    n = draw(st.integers(min_value=2, max_value=30))
+    xi_low, xi_high = draw(st.sampled_from([(0.02, 0.05), (0.02, 0.05), (0.1, 0.3), (0.3, 0.5)]))
+    scenario = draw(st.sampled_from(["uniform", "bt_latent"]))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    counts, _ = random_instance(seed, n, scenario=scenario, xi_low=xi_low, xi_high=xi_high)
+    win = counts.win_counts.copy()
+    player = st.integers(min_value=0, max_value=n - 1)
+    drawn = st.tuples(player, player, st.integers(min_value=1, max_value=3))
+    for i, j, games in draw(st.lists(drawn, max_size=4)):
+        if i != j:
+            win[i, j] = win[j, i] = games  # played, net wins zero
+    for i in draw(st.lists(player, max_size=3)):
+        win[i, :] = 0
+        win[:, i] = 0
+    return win
 
 
 class TestScore:
@@ -110,11 +132,38 @@ class TestSurrogateInit:
         assert ranking == Ranking([1, 2])
 
     def test_balanced_data_stays_at_zero(self):
-        win = np.array([[0, 2, 2], [2, 0, 2], [2, 2, 0]])
-        counts = ComparisonCounts(win + win.T, win)
-        beta, ranking = surrogate_init(counts)
-        assert np.allclose(beta, 0.0)
-        assert ranking == Ranking([1, 2, 3])
+        # Balanced wins, a single player and no games at all: no decisive
+        # pair, so the ascent stops before its first step.
+        balanced = np.array([[0, 2, 2], [2, 0, 2], [2, 2, 0]])
+        for win in (balanced, np.zeros((1, 1), dtype=int), np.zeros((4, 4), dtype=int)):
+            trace: list = []
+            beta, ranking = surrogate_init(counts_from_wins(win), trace=trace)
+            assert np.array_equal(beta, np.zeros(len(win)))
+            assert ranking == Ranking.identity(len(win))
+            assert trace == []
+
+    @given(surrogate_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_oracle(self, win):
+        trace: list = []
+        beta, ranking = surrogate_init(counts_from_wins(win), trace=trace)
+        dense_beta, dense_trace = dense_surrogate_init(win, MasterOptions().surrogate_iters)
+        np.testing.assert_allclose(beta, dense_beta, rtol=0, atol=1e-9)
+        assert len(trace) == len(dense_trace)
+        np.testing.assert_allclose(trace, dense_trace, rtol=1e-9, atol=1e-12)
+        # Where the dense betas separate two neighbours, the ranking agrees.
+        order = np.argsort(dense_beta, kind="stable")
+        for worse, better in zip(order, order[1:]):
+            if dense_beta[better] - dense_beta[worse] > 1e-9:
+                assert ranking.ranks[worse] < ranking.ranks[better]
+
+    @given(surrogate_instances(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_relabelling_permutes_scores(self, win, data):
+        sigma = np.array(data.draw(st.permutations(range(len(win)))))
+        beta, _ = surrogate_init(counts_from_wins(win))
+        moved, _ = surrogate_init(counts_from_wins(win[np.ix_(sigma, sigma)]))
+        np.testing.assert_allclose(moved, beta[sigma], rtol=0, atol=1e-9)
 
     def test_objective_trace_is_monotone(self):
         counts, _ = random_instance(5, 30)
