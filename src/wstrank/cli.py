@@ -212,7 +212,7 @@ def _read_ranking_artifact(path: str) -> tuple[str, dict[str, int]]:
     """Method name and label -> rank (n is best) of a ranking artifact written by `rank`."""
     try:
         artifact = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise DataError(f"cannot read ranking artifact {path}: {exc}") from exc
     try:
         players = artifact["players"]

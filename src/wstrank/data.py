@@ -323,18 +323,20 @@ def read_match_csv(path) -> list[MatchRecord]:
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty match file") from None
-        if [h.strip() for h in header] != ["winner", "loser"]:
-            raise DataError(f"{path}: expected header 'winner,loser', got {header!r}")
-        records = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            records.append(MatchRecord(row[0], row[1]))
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty match file")
+            if [h.strip() for h in header] != ["winner", "loser"]:
+                raise DataError(f"{path}: expected header 'winner,loser', got {header!r}")
+            records = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise DataError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
+                records.append(MatchRecord(row[0], row[1]))
+        except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     return records
 
 

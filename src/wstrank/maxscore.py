@@ -150,11 +150,19 @@ def ktuple_search(counts: ComparisonCounts, init: Ranking, k: int) -> MasterResu
     Starting at the lowest window, all k! assignments of the window's players
     to its positions are scored; the best strictly improving one is applied
     (ties among equally good improvements go to the lexicographically first
-    permutation) and the scan restarts, otherwise the window moves up one
-    position. Permuting players within a contiguous window leaves their order
-    relative to everyone outside unchanged, so only the O(k^2) internal pairs
-    are re-scored. Terminates because the objective is integer, strictly
-    increasing on each accepted move, and bounded.
+    permutation), otherwise the window moves up one position. Permuting
+    players within a contiguous window leaves their order relative to
+    everyone outside unchanged, so only the O(k^2) internal pairs are
+    re-scored: with ``pick[a*k + b, p] = 1`` when permutation p puts slot a
+    above slot b, the window's k x k block of pair terms, flattened, times
+    ``pick`` gives all k! totals in one product (exact, as the terms are
+    integers). After a move in the window ending at t the scan resumes at the
+    first window that shares a position with it, the one ending at
+    t - k + 1 (or k). Every window below it was non-improving when scanned
+    and its internal pairs are untouched, so rescanning them from the bottom
+    would find no move there: the sequence of moves is the same. Terminates
+    because the objective is integer, strictly increasing on each accepted
+    move, and bounded.
     """
     n = counts.n
     if init.n != n:
@@ -163,11 +171,10 @@ def ktuple_search(counts: ComparisonCounts, init: Ranking, k: int) -> MasterResu
         raise ValueError(f"k must be in [2, min(n, {MAX_TUPLE_LEN})]")
     z = _net_wins(counts)
     # contribution[w, l] is the objective term earned when w is ranked above l
-    contribution = np.triu(z, 1)
+    contribution = np.triu(z, 1).astype(float)
     perms = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
-    low_slot, high_slot = np.triu_indices(k, 1)
-    occupant_high = perms[:, high_slot]
-    occupant_low = perms[:, low_slot]
+    slot_position = np.argsort(perms, axis=1).T  # [a, p]: where p puts slot a
+    pick = (slot_position[:, None] > slot_position[None, :]).reshape(k * k, -1).astype(float)
 
     order = init.order().copy()  # players from worst to best
     init_objective = score(init, counts)
@@ -176,14 +183,13 @@ def ktuple_search(counts: ComparisonCounts, init: Ranking, k: int) -> MasterResu
     t = k
     while t <= n:
         segment = order[t - k : t]
-        sub = contribution[np.ix_(segment, segment)]
-        totals = sub[occupant_high, occupant_low].sum(axis=1)
+        totals = contribution[np.ix_(segment, segment)].ravel() @ pick
         best = int(totals.argmax())  # perms are lexicographic; identity is first
         if totals[best] > totals[0]:
             order[t - k : t] = segment[perms[best]]
             objective += int(totals[best] - totals[0])
             sweeps += 1
-            t = k
+            t = max(k, t - k + 1)
         else:
             t += 1
     ranks = np.empty(n, dtype=np.int64)

@@ -12,7 +12,8 @@ import math
 import numpy as np
 from scipy.special import expit
 
-from wstrank.maxscore import SURROGATE_RIDGE
+from wstrank.data import Ranking
+from wstrank.maxscore import SURROGATE_RIDGE, MasterResult, score
 
 
 def brute_kendall(ranks_a, ranks_b) -> int:
@@ -187,3 +188,40 @@ def dense_surrogate_init(win, iters: int) -> tuple[np.ndarray, list]:
         beta, obj = accepted
         trace.append(obj)
     return beta, trace
+
+
+def rescan_ktuple_search(counts, init, k) -> MasterResult:
+    """K-tuple local search that rescans from the lowest window after every move.
+
+    The plain form of ``maxscore.ktuple_search``: each window's k! totals
+    are summed by gathering the internal pair terms of every permutation, and
+    an accepted move sends the scan back to the window ending at k.
+    """
+    n = counts.n
+    z = counts.win_counts - counts.win_counts.T
+    contribution = np.triu(z, 1)
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
+    low_slot, high_slot = np.triu_indices(k, 1)
+    occupant_high = perms[:, high_slot]
+    occupant_low = perms[:, low_slot]
+
+    order = init.order().copy()
+    init_objective = score(init, counts)
+    objective = init_objective
+    sweeps = 0
+    t = k
+    while t <= n:
+        segment = order[t - k : t]
+        sub = contribution[np.ix_(segment, segment)]
+        totals = sub[occupant_high, occupant_low].sum(axis=1)
+        best = int(totals.argmax())
+        if totals[best] > totals[0]:
+            order[t - k : t] = segment[perms[best]]
+            objective += int(totals[best] - totals[0])
+            sweeps += 1
+            t = k
+        else:
+            t += 1
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = np.arange(1, n + 1)
+    return MasterResult(Ranking(ranks), objective, init_objective, sweeps)

@@ -1,11 +1,13 @@
+import codecs
 import itertools
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wstrank import (
@@ -33,6 +35,57 @@ def small_matches(tmp_path):
     # A beats B three times, B wins once back; strongly connected
     write_matches(path, [("A", "B"), ("A", "B"), ("A", "B"), ("B", "A")])
     return path
+
+
+EXIT_CODES = {0, 2, 3, 4}
+FILTERS = ("none", "no-wins", "bt-connected")
+# A field longer than csv.field_size_limit() (131072) is a reader error.
+LONG_LABEL = "L" * 131073
+
+
+@st.composite
+def match_csv_bytes(draw):
+    """Bytes of a would-be match file: right, wrong or missing header columns,
+    an optional BOM, empty lines, self-games, ragged rows, quotes, an over-long
+    field and a few arbitrary (often non-UTF-8) bytes spliced in."""
+    header = draw(
+        st.sampled_from(
+            ["winner,loser", "winner,loser", " winner , loser ", "winner", "loser,winner", ""]
+        )
+    )
+    label = st.sampled_from(["A", "B", "C", "D", "", "é", '"A', LONG_LABEL])
+    rows = draw(st.lists(st.lists(label, max_size=3).map(",".join), max_size=12))
+    text = "\n".join([header, *rows]) + draw(st.sampled_from(["", "\n", "\r\n"]))
+    data = text.encode("utf-8")
+    if draw(st.booleans()):
+        data = codecs.BOM_UTF8 + data
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + draw(st.binary(max_size=4)) + data[at:]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=8,
+)
+ARTIFACT_PLAYER = st.fixed_dictionaries(
+    {},
+    optional={
+        "position": st.integers(0, 4) | JSON_VALUES,
+        "label": st.sampled_from(["A", "B", "C"]) | JSON_VALUES,
+        "score": JSON_VALUES,
+    },
+)
+RANKING_ARTIFACT_BYTES = st.one_of(
+    st.fixed_dictionaries(
+        {"players": st.lists(ARTIFACT_PLAYER, max_size=4)},
+        optional={"method": JSON_VALUES, "n": JSON_VALUES},
+    ).map(lambda a: json.dumps(a).encode()),
+    JSON_VALUES.map(lambda v: json.dumps(v).encode()),
+    st.integers(1, 100_000).map(lambda depth: b"[" * depth),  # nesting past the recursion limit
+    st.binary(max_size=20),
+)
 
 
 class TestSimulate:
@@ -174,7 +227,7 @@ class TestSimulate:
         argv += ["--t", str(t), "--reps", str(reps), "--methods", ",".join(methods)]
         argv += ["--xi-low", str(xi[0]), "--xi-high", str(xi[1])]
         argv += ["--k", str(k), "--threads", str(threads)]
-        assert main(argv + ["--format", "csv"]) in {0, 2, 3, 4}
+        assert main(argv + ["--format", "csv"]) in EXIT_CODES
 
 
 class TestRank:
@@ -245,6 +298,17 @@ class TestRank:
         code = main(["rank", "--input", str(small_matches), "--method", "bt"])
         assert code == 4
         assert "converge" in capsys.readouterr().err
+
+    @given(data=match_csv_bytes())
+    @example(data=b"winner,loser\n" + LONG_LABEL.encode() + b",B\n")
+    @settings(max_examples=40, deadline=None)
+    def test_exit_code_contract(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "matches.csv", Path(tmp) / "out.json"
+            path.write_bytes(data)
+            for method, filter_ in itertools.product(METHODS, FILTERS):
+                argv = ["rank", "--input", str(path), "--method", method, "--filter", filter_]
+                assert main(argv + ["--format", "json", "--out", str(out)]) in EXIT_CODES
 
     def test_csv_output(self, small_matches, tmp_path):
         out = tmp_path / "ranked.csv"
@@ -357,6 +421,18 @@ class TestCompare:
         path.write_text(json.dumps(artifact))
         assert main(["compare", "--rankings", f"{path},{path}"]) == 3
         assert "error:" in capsys.readouterr().err
+
+    @given(first=RANKING_ARTIFACT_BYTES, second=RANKING_ARTIFACT_BYTES)
+    @example(first=b"[" * 100_000, second=b"[]")
+    @settings(max_examples=60, deadline=None)
+    def test_exit_code_contract(self, first, second):
+        with tempfile.TemporaryDirectory() as tmp:
+            pa, pb, out = Path(tmp) / "a.json", Path(tmp) / "b.json", Path(tmp) / "out.json"
+            pa.write_bytes(first)
+            pb.write_bytes(second)
+            for fmt in ("table", "csv", "json"):
+                argv = ["compare", "--rankings", f"{pa},{pb}", "--format", fmt]
+                assert main(argv + ["--out", str(out)]) in EXIT_CODES
 
     def test_head_to_head(self, small_matches, capsys):
         code = main(

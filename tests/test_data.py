@@ -326,3 +326,10 @@ class TestSerialization:
         path.write_text("a,b\nx,y\n")
         with pytest.raises(DataError, match="header"):
             read_match_csv(path)
+
+    def test_match_csv_reader_error_names_the_line(self, tmp_path):
+        # csv refuses a field longer than csv.field_size_limit() (131072).
+        path = tmp_path / "m.csv"
+        path.write_text("winner,loser\nA,B\n" + "x" * 131073 + ",B\n")
+        with pytest.raises(DataError, match=r"m\.csv:3: field larger than field limit"):
+            read_match_csv(path)

@@ -19,7 +19,7 @@ from wstrank import (
 )
 from wstrank.simulation import replicate_rng
 
-from oracles import brute_score, dense_surrogate_init, exhaustive_max_score
+from oracles import brute_score, dense_surrogate_init, exhaustive_max_score, rescan_ktuple_search
 
 
 def counts_from_wins(win):
@@ -52,6 +52,30 @@ def surrogate_instances(draw):
         win[i, :] = 0
         win[:, i] = 0
     return win
+
+
+@st.composite
+def ktuple_instances(draw):
+    """Counts, a start ranking and a window length 2 <= k <= min(n, 8).
+
+    The counts are those of ``surrogate_instances`` or, now and then, no
+    games at all; the start is a random ranking, the surrogate's, or the
+    surrogate's reversed.
+    """
+    win = draw(surrogate_instances())
+    n = len(win)
+    if draw(st.integers(0, 4)) == 0:
+        win = np.zeros_like(win)
+    counts = counts_from_wins(win)
+    start = draw(st.sampled_from(["random", "surrogate", "reversed"]))
+    if start == "random":
+        init = Ranking(np.array(draw(st.permutations(range(1, n + 1)))))
+    else:
+        init = surrogate_init(counts)[1]
+        if start == "reversed":
+            init = init.reverse()
+    k = draw(st.integers(min_value=2, max_value=min(n, 8)))
+    return counts, init, k
 
 
 class TestScore:
@@ -227,6 +251,17 @@ class TestKtupleSearch:
             assert result.objective == score(result.ranking, counts)
             assert result.init_objective == score(init, counts)
             assert result.objective >= result.init_objective
+
+    @given(ktuple_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_rescan_oracle(self, instance):
+        counts, init, k = instance
+        result = ktuple_search(counts, init, k)
+        expected = rescan_ktuple_search(counts, init, k)
+        assert result.ranking == expected.ranking
+        assert result.objective == expected.objective
+        assert result.init_objective == expected.init_objective
+        assert result.sweeps == expected.sweeps
 
     def test_k_out_of_range(self):
         counts, _ = random_instance(1, 6)
