@@ -9,8 +9,6 @@ simulation-study harness. A CLI binds everything into batch workflows; see
 """
 
 from .baselines import (
-    BtOptions,
-    UsvtOptions,
     borda_rank,
     bt_fit,
     bt_log_likelihood,
@@ -24,8 +22,6 @@ from .data import (
     Ranking,
     WstReport,
     check_wst,
-    counts_from_json,
-    counts_to_json,
     filter_players,
     load_matches,
     read_match_csv,
@@ -75,7 +71,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlignmentError",
-    "BtOptions",
     "ComparisonCounts",
     "ConvergenceError",
     "DataError",
@@ -92,15 +87,12 @@ __all__ = [
     "SCENARIOS",
     "SimConfig",
     "StudyResult",
-    "UsvtOptions",
     "WstReport",
     "borda_rank",
     "bt_fit",
     "bt_log_likelihood",
     "certify",
     "check_wst",
-    "counts_from_json",
-    "counts_to_json",
     "error_rate",
     "filter_players",
     "gen_counts",

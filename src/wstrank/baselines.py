@@ -7,7 +7,6 @@ maximum-score estimator does, which is exactly why they serve as baselines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,26 +19,9 @@ from .data import (
 )
 from .errors import ConvergenceError, DataError, NotConnectedError
 
-
-@dataclass(frozen=True)
-class BtOptions:
-    tol: float = 1e-8
-    max_iters: int = 10000
-
-    def __post_init__(self) -> None:
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-
-
-@dataclass(frozen=True)
-class UsvtOptions:
-    eta: float = 0.01
-
-    def __post_init__(self) -> None:
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
+BT_TOL = 1e-8  # bt_fit stops once the log-likelihood gradient norm is this small
+BT_MAX_ITERS = 10000
+USVT_ETA = 0.01  # USVT's threshold margin above the noise level 2 * sqrt(n * p_hat)
 
 
 def borda_scores(counts: ComparisonCounts) -> np.ndarray:
@@ -67,15 +49,15 @@ def bt_log_likelihood(beta, counts: ComparisonCounts) -> float:
     return float((counts.win_counts * log_sig).sum())
 
 
-def bt_fit(counts: ComparisonCounts, opts: BtOptions | None = None) -> tuple[np.ndarray, Ranking]:
+def bt_fit(counts: ComparisonCounts) -> tuple[np.ndarray, Ranking]:
     """Maximum-likelihood Bradley-Terry scores, constrained to sum to zero.
 
     Uses the minorization-maximization fixed point on the strength scale,
-    stopping once the log-likelihood gradient norm drops to ``opts.tol``.
+    stopping once the log-likelihood gradient norm drops to ``BT_TOL``, and
+    raising ``ConvergenceError`` after ``BT_MAX_ITERS`` iterations.
     The MLE exists iff the win digraph is strongly connected; anything else
     raises before iterating.
     """
-    opts = opts or BtOptions()
     n = counts.n
     if not same_strong_component(counts).all():
         raise NotConnectedError(
@@ -85,10 +67,10 @@ def bt_fit(counts: ComparisonCounts, opts: BtOptions | None = None) -> tuple[np.
     wins = counts.win_counts.sum(axis=1).astype(float)
     games = counts.pair_counts.astype(float)
     strength = np.ones(n)
-    for _ in range(opts.max_iters):
+    for _ in range(BT_MAX_ITERS):
         pairwise = strength[:, None] + strength[None, :]
         grad = wins - (games * (strength[:, None] / pairwise)).sum(axis=1)
-        if float(np.linalg.norm(grad)) <= opts.tol:
+        if float(np.linalg.norm(grad)) <= BT_TOL:
             beta = np.log(strength)
             beta -= beta.mean()
             return beta, Ranking.from_scores(beta)
@@ -97,23 +79,20 @@ def bt_fit(counts: ComparisonCounts, opts: BtOptions | None = None) -> tuple[np.
     beta = np.log(strength)
     beta -= beta.mean()
     raise ConvergenceError(
-        f"gradient norm still above {opts.tol} after {opts.max_iters} iterations",
+        f"gradient norm still above {BT_TOL} after {BT_MAX_ITERS} iterations",
         beta=beta,
     )
 
 
-def usvt_probabilities(
-    x: np.ndarray, p_hat: float, opts: UsvtOptions | None = None
-) -> ProbabilityMatrix:
+def usvt_probabilities(x: np.ndarray, p_hat: float) -> ProbabilityMatrix:
     """Denoise a standardized skew-symmetric outcome matrix into probabilities.
 
-    Keeps singular values above (2 + eta) * sqrt(n * p_hat), rescales the
+    Keeps singular values above (2 + USVT_ETA) * sqrt(n * p_hat), rescales the
     truncated reconstruction by 1/p_hat, clips to [-1, 1], and maps to the
     probability scale. The estimate is symmetrized so that complementary
     entries sum to one exactly (numeric truncation does not preserve skew
     symmetry on its own).
     """
-    opts = opts or UsvtOptions()
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError("x must be square")
@@ -121,7 +100,7 @@ def usvt_probabilities(
         raise ValueError("p_hat must be in (0, 1]")
     n = x.shape[0]
     u, s, vt = np.linalg.svd(x)
-    keep = s > (2.0 + opts.eta) * math.sqrt(n * p_hat)
+    keep = s > (2.0 + USVT_ETA) * math.sqrt(n * p_hat)
     denoised = (u[:, keep] * s[keep]) @ vt[keep] / p_hat
     np.clip(denoised, -1.0, 1.0, out=denoised)
     est = (denoised + 1.0) / 2.0
@@ -133,17 +112,16 @@ def usvt_probabilities(
     return ProbabilityMatrix(probs)
 
 
-def usvt_rank(
-    counts: ComparisonCounts, opts: UsvtOptions | None = None
-) -> tuple[ProbabilityMatrix, Ranking]:
-    """Estimate the probability matrix by USVT and rank players by its row sums."""
-    opts = opts or UsvtOptions()
+def usvt_rank(counts: ComparisonCounts) -> tuple[ProbabilityMatrix, Ranking]:
+    """Estimate the probability matrix by USVT and rank players by its row sums.
+
+    ``p_hat`` is the share of pairs that have played.
+    """
     n = counts.n
     if n < 2:
         raise ValueError("need at least 2 players")
-    iu, ju = np.triu_indices(n, 1)
-    p_hat = float((counts.pair_counts[iu, ju] > 0).mean())
+    p_hat = np.count_nonzero(counts.pair_counts) / (n * (n - 1))
     if p_hat == 0.0:
         raise DataError("no pair has been observed; the estimate is degenerate")
-    estimate = usvt_probabilities(skew_statistic(counts), p_hat, opts)
+    estimate = usvt_probabilities(skew_statistic(counts), p_hat)
     return estimate, Ranking.from_scores(estimate.probs.sum(axis=1))

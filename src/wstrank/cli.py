@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import ComparisonCounts, Ranking, filter_players, load_matches, read_match_csv
+from .data import FILTER_POLICIES
 from .errors import AlignmentError, DataError, NumericError
 from .maxscore import MasterOptions
 from .metrics import kendall_tau, spearman_rho
@@ -23,6 +24,7 @@ from .simulation import METHODS, SCENARIOS, Fit, SimConfig, StudyResult, rank_co
 from .simulation import study_methods
 
 FORMATS = ("table", "csv", "json")
+FILTERS = ("none", *FILTER_POLICIES)
 
 
 class _UsageError(Exception):
@@ -58,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     rank.add_argument("--input", required=True, help="match CSV path")
     rank.add_argument("--method", choices=METHODS, required=True)
     rank.add_argument("--k", type=int, default=3)
-    rank.add_argument("--filter", choices=("none", "no-wins", "bt-connected"), default="none")
+    rank.add_argument("--filter", choices=FILTERS, default="none")
     add_common(rank)
     rank.set_defaults(func=cmd_rank)
 
@@ -66,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--input", help="match CSV to rank with --methods")
     comp.add_argument("--methods", help="two methods, e.g. master,bt")
     comp.add_argument("--rankings", help="two ranking JSON artifacts, e.g. a.json,b.json")
-    comp.add_argument("--filter", choices=("none", "no-wins", "bt-connected"), default="none")
+    comp.add_argument("--filter", choices=FILTERS, default="none")
     comp.add_argument(
         "--h2h",
         action="append",
@@ -223,7 +225,8 @@ def _read_ranking_artifact(path: str) -> tuple[str, dict[str, int]]:
     n = len(players)
     if not all(isinstance(label, str) for label in labels) or len(set(labels)) != n:
         raise DataError(f"ranking artifact {path}: player labels must be distinct strings")
-    if positions != list(range(1, n + 1)):
+    # bool is an int subclass, and True == 1.0 == 1 would pass the range check
+    if any(type(p) is not int for p in positions) or positions != list(range(1, n + 1)):
         raise DataError(f"ranking artifact {path}: positions must be 1..{n}")
     return artifact.get("method", path), {p["label"]: n - p["position"] + 1 for p in players}
 

@@ -8,8 +8,8 @@ concurrently.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -128,6 +128,21 @@ class ComparisonCounts:
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels is not None else str(i)
+
+    @cached_property
+    def decisive(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pairs with a net winner, as read-only arrays ``(lo, hi, z)``.
+
+        ``lo < hi`` index the pairs with ``z = win[lo, hi] - win[hi, lo] != 0``,
+        in row-major (``np.nonzero``) order; every other pair adds nothing to
+        the maximum-score objective or its surrogate. Built once per object.
+        """
+        z = self.win_counts - self.win_counts.T
+        lo, hi = np.nonzero(np.triu(z, 1))
+        pairs = (lo, hi, z[lo, hi])
+        for a in pairs:
+            a.setflags(write=False)
+        return pairs
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ComparisonCounts):
@@ -303,15 +318,15 @@ def skew_statistic(counts: ComparisonCounts) -> np.ndarray:
     """Standardized skew-symmetric outcome matrix.
 
     ``x[i, j] = 2*win[i, j]/pair[i, j] - 1`` for played pairs and 0 for
-    unplayed ones; built from the upper triangle so that ``x + x.T`` is
-    exactly zero.
+    unplayed ones. Only the pairs of ``counts.decisive`` are written: a
+    played pair without a net winner gives exactly 0. Each lower entry is
+    the negated upper one, so ``x + x.T`` is exactly zero.
     """
-    pair = counts.pair_counts
-    win = counts.win_counts
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = np.where(pair > 0, 2.0 * win / np.where(pair > 0, pair, 1) - 1.0, 0.0)
-    upper = np.triu(raw, 1)
-    return upper - upper.T
+    lo, hi, _ = counts.decisive
+    x = np.zeros((counts.n, counts.n))
+    x[lo, hi] = 2.0 * counts.win_counts[lo, hi] / counts.pair_counts[lo, hi] - 1.0
+    x[hi, lo] = -x[lo, hi]
+    return x
 
 
 def read_match_csv(path) -> list[MatchRecord]:
@@ -346,28 +361,3 @@ def write_match_csv(path, records: Iterable[MatchRecord]) -> None:
         writer.writerow(["winner", "loser"])
         for rec in records:
             writer.writerow([rec.winner, rec.loser])
-
-
-def counts_to_json(counts: ComparisonCounts) -> str:
-    """Serialize counts to the JSON interchange form (labels + both matrices)."""
-    labels = list(counts.labels) if counts.labels is not None else [str(i) for i in range(counts.n)]
-    return json.dumps(
-        {
-            "labels": labels,
-            "pair_counts": counts.pair_counts.tolist(),
-            "win_counts": counts.win_counts.tolist(),
-        }
-    )
-
-
-def counts_from_json(text: str) -> ComparisonCounts:
-    obj = json.loads(text)
-    for key in ("labels", "pair_counts", "win_counts"):
-        if key not in obj:
-            raise DataError(f"counts JSON missing field {key!r}")
-    try:
-        return ComparisonCounts(
-            obj["pair_counts"], obj["win_counts"], labels=tuple(obj["labels"])
-        )
-    except ValueError as exc:
-        raise DataError(f"invalid counts JSON: {exc}") from exc

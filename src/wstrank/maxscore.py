@@ -69,18 +69,15 @@ class MasterResult:
         }
 
 
-def _net_wins(counts: ComparisonCounts) -> np.ndarray:
-    # z[i, j] = y_ij - y_ji = 2*y_ij - n_ij; antisymmetric.
-    return counts.win_counts - counts.win_counts.T
-
-
 def score(pi: Ranking, counts: ComparisonCounts) -> int:
-    """Exact integer objective L(pi); unplayed pairs contribute zero."""
+    """Exact integer objective L(pi), summed over the pairs of ``counts.decisive``.
+
+    Unplayed pairs and pairs without a net winner contribute zero.
+    """
     if pi.n != counts.n:
         raise ValueError("ranking and counts disagree on the number of players")
-    z = _net_wins(counts)
-    iu, ju = np.triu_indices(counts.n, 1)
-    return int(z[iu, ju] @ (pi.ranks[iu] > pi.ranks[ju]))
+    lo, hi, z = counts.decisive
+    return int(z @ (pi.ranks[lo] > pi.ranks[hi]))
 
 
 def surrogate_init(
@@ -97,22 +94,21 @@ def surrogate_init(
     If ``trace`` is a list, the objective value after each accepted step is
     appended to it.
 
-    The sums run over the m decisive pairs (z_ij != 0) only; the others add
-    nothing. Each line-search trial and each gradient therefore costs
-    O(m + n), not O(n^2), and the gradient reuses the sigmoids computed for
-    the accepted trial.
+    The sums run over the m pairs of ``counts.decisive`` (z_ij != 0) only;
+    the others add nothing. Each line-search trial and each gradient
+    therefore costs O(m + n), not O(n^2), and the gradient reuses the
+    sigmoids computed for the accepted trial.
     """
     opts = opts or MasterOptions()
     n = counts.n
-    z = _net_wins(counts)
-    lo, hi = np.nonzero(np.triu(z, 1))
-    zw = z[lo, hi].astype(float)
+    lo, hi, z = counts.decisive
+    zw = z.astype(float)
 
     def objective(b: np.ndarray) -> tuple[float, np.ndarray]:
         sig = expit(np.take(b, lo) - np.take(b, hi))
         return float(zw @ sig - SURROGATE_RIDGE * (b @ b)), sig
 
-    mean_degree = float((counts.pair_counts > 0).sum(axis=1).mean())
+    mean_degree = np.count_nonzero(counts.pair_counts) / n
     base_step = 0.5 / math.sqrt(max(mean_degree, 1.0))
 
     beta = np.zeros(n)
@@ -163,15 +159,18 @@ def ktuple_search(counts: ComparisonCounts, init: Ranking, k: int) -> MasterResu
     would find no move there: the sequence of moves is the same. Terminates
     because the objective is integer, strictly increasing on each accepted
     move, and bounded.
+
+    The pair terms are read from ``counts.decisive``.
     """
     n = counts.n
     if init.n != n:
         raise ValueError("ranking and counts disagree on the number of players")
     if not 2 <= k <= min(n, MAX_TUPLE_LEN):
         raise ValueError(f"k must be in [2, min(n, {MAX_TUPLE_LEN})]")
-    z = _net_wins(counts)
+    lo, hi, z = counts.decisive
     # contribution[w, l] is the objective term earned when w is ranked above l
-    contribution = np.triu(z, 1).astype(float)
+    contribution = np.zeros((n, n))
+    contribution[lo, hi] = z
     perms = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
     slot_position = np.argsort(perms, axis=1).T  # [a, p]: where p puts slot a
     pick = (slot_position[:, None] > slot_position[None, :]).reshape(k * k, -1).astype(float)

@@ -58,6 +58,30 @@ def exhaustive_max_score(win) -> tuple[int, tuple[int, ...]]:
     return best, tuple(r + 1 for r in best_perm)
 
 
+def brute_decisive(win) -> tuple[list[int], list[int], list[int]]:
+    """Pairs i < j with net wins z = win[i][j] - win[j][i] != 0, row by row."""
+    n = len(win)
+    lo, hi, z = [], [], []
+    for i in range(n):
+        for j in range(i + 1, n):
+            net = int(win[i][j]) - int(win[j][i])
+            if net != 0:
+                lo.append(i)
+                hi.append(j)
+                z.append(net)
+    return lo, hi, z
+
+
+def dense_skew_statistic(win) -> np.ndarray:
+    """``data.skew_statistic`` over the full n x n matrix, every pair included."""
+    win = np.asarray(win)
+    pair = win + win.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw = np.where(pair > 0, 2.0 * win / np.where(pair > 0, pair, 1) - 1.0, 0.0)
+    upper = np.triu(raw, 1)
+    return upper - upper.T
+
+
 def _reachable(adj, start) -> set[int]:
     seen = {start}
     stack = [start]

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from wstrank import (
-    BtOptions,
     ComparisonCounts,
     ConvergenceError,
     DataError,
     NotConnectedError,
     Ranking,
     SimConfig,
-    UsvtOptions,
     borda_rank,
     bt_fit,
     bt_log_likelihood,
@@ -20,6 +18,7 @@ from wstrank import (
     usvt_probabilities,
     usvt_rank,
 )
+from wstrank import baselines
 from wstrank.simulation import replicate_rng
 
 from oracles import bt_oracle_beta
@@ -81,15 +80,14 @@ class TestBradleyTerry:
 
     def test_sum_zero_and_gradient_norm(self):
         counts, _ = random_instance(9, 25)
-        opts = BtOptions()
-        beta, _ = bt_fit(counts, opts)
+        beta, _ = bt_fit(counts)
         assert abs(beta.sum()) < 1e-12
         # independent gradient evaluation at the returned point
         from scipy.special import expit
 
         diff = beta[:, None] - beta[None, :]
         grad = counts.win_counts.sum(axis=1) - (counts.pair_counts * expit(diff)).sum(axis=1)
-        assert np.linalg.norm(grad) <= opts.tol
+        assert np.linalg.norm(grad) <= baselines.BT_TOL
 
     def test_ascends_from_zero(self):
         counts, _ = random_instance(10, 20)
@@ -116,10 +114,11 @@ class TestBradleyTerry:
         with pytest.raises(NotConnectedError, match="bt-connected"):
             bt_fit(counts)
 
-    def test_non_convergence_carries_last_iterate(self):
+    def test_non_convergence_carries_last_iterate(self, monkeypatch):
         counts, _ = random_instance(11, 12)
+        monkeypatch.setattr(baselines, "BT_MAX_ITERS", 1)
         with pytest.raises(ConvergenceError) as exc_info:
-            bt_fit(counts, BtOptions(max_iters=1))
+            bt_fit(counts)
         assert exc_info.value.beta is not None
         assert len(exc_info.value.beta) == 12
 
@@ -181,11 +180,3 @@ class TestUsvt:
         ranking = Ranking.from_scores(estimate.probs.sum(axis=1))
         tau = kendall_tau(ranking, truth)
         assert error_rate(tau, 200, "pairs") < 0.10
-
-    def test_option_validation(self):
-        with pytest.raises(ValueError):
-            UsvtOptions(eta=0.0)
-        with pytest.raises(ValueError):
-            BtOptions(tol=0.0)
-        with pytest.raises(ValueError):
-            BtOptions(max_iters=0)

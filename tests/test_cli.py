@@ -412,8 +412,17 @@ class TestCompare:
             [{"position": 1, "label": "A"}, {"position": 2, "label": "A"}],
             [{"position": 1, "label": "A"}, {"position": 3, "label": "B"}],
             [{"position": 1, "label": "A"}],  # too few players to compare
+            [{"position": True, "label": "A"}, {"position": 2, "label": "B"}],
+            [{"position": 1.0, "label": "A"}, {"position": 2, "label": "B"}],
         ],
-        ids=["missing-players", "duplicate-labels", "bad-positions", "single-player"],
+        ids=[
+            "missing-players",
+            "duplicate-labels",
+            "bad-positions",
+            "single-player",
+            "bool-position",
+            "float-position",
+        ],
     )
     def test_malformed_artifact_is_data_error(self, tmp_path, capsys, players):
         artifact = {"method": "x"} if players is None else {"method": "x", "players": players}

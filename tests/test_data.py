@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wstrank
 from wstrank import (
     ComparisonCounts,
     DataError,
@@ -13,8 +14,6 @@ from wstrank import (
     Ranking,
     SimConfig,
     check_wst,
-    counts_from_json,
-    counts_to_json,
     filter_players,
     gen_counts,
     gen_probabilities,
@@ -25,11 +24,38 @@ from wstrank import (
 )
 from wstrank.simulation import replicate_rng
 
-from oracles import brute_wst_violations, is_strongly_connected, largest_strong_component
+from oracles import (
+    brute_decisive,
+    brute_wst_violations,
+    dense_skew_statistic,
+    is_strongly_connected,
+    largest_strong_component,
+)
 
 
 def records(*pairs):
     return [MatchRecord(w, l) for w, l in pairs]
+
+
+def test_every_export_resolves():
+    assert [name for name in wstrank.__all__ if not hasattr(wstrank, name)] == []
+
+
+@st.composite
+def game_counts(draw):
+    """Counts on 1 to 10 players whose pairs are unplayed, balanced (net wins 0) or random."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    win = np.zeros((n, n), dtype=int)
+    for i in range(n):
+        for j in range(i + 1, n):
+            kind = draw(st.sampled_from(["unplayed", "balanced", "random"]))
+            if kind == "balanced":
+                win[i, j] = win[j, i] = draw(st.integers(min_value=1, max_value=3))
+            elif kind == "random":
+                games = draw(st.integers(min_value=1, max_value=9))
+                win[i, j] = draw(st.integers(min_value=0, max_value=games))
+                win[j, i] = games - win[i, j]
+    return ComparisonCounts(win + win.T, win)
 
 
 @st.composite
@@ -299,17 +325,29 @@ class TestSkewStatistic:
         assert (x + x.T == 0).all()
         assert np.abs(x).max() <= 1.0
 
+    @given(game_counts())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_to_dense_formula(self, counts):
+        x = skew_statistic(counts)
+        dense = dense_skew_statistic(counts.win_counts)
+        assert np.array_equal(x, dense)
+        assert x.tobytes() == dense.tobytes()  # signs of zero included
+
+
+class TestDecisivePairs:
+    @given(game_counts())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_in_order(self, counts):
+        lo, hi, z = counts.decisive
+        expected = brute_decisive(counts.win_counts)
+        for got, want in zip((lo, hi, z), expected):
+            assert got.dtype.kind == "i"
+            assert got.tolist() == want
+            assert not got.flags.writeable
+        assert counts.decisive is counts.decisive
+
 
 class TestSerialization:
-    def test_counts_json_round_trip(self):
-        counts = load_matches(records(("A", "B"), ("B", "A"), ("C", "A")))
-        again = counts_from_json(counts_to_json(counts))
-        assert again == counts
-
-    def test_counts_json_missing_field(self):
-        with pytest.raises(DataError, match="missing field"):
-            counts_from_json('{"labels": ["a"], "pair_counts": [[0]]}')
-
     def test_match_csv_round_trip(self, tmp_path):
         recs = records(("Doe, Jane", "Poe, Edgar"), ("Poe, Edgar", "Doe, Jane"))
         path = tmp_path / "m.csv"
