@@ -5,9 +5,10 @@ The objective for a ranking pi is
     L(pi) = sum over pairs i < j of (2*y_ij - n_ij) * I(pi_i > pi_j),
 
 the net number of observed game outcomes consistent with pi. It is maximised
-in two stages: a smooth logistic surrogate fitted by gradient ascent gives an
-initial ranking, then a local search repeatedly re-permutes every window of K
-consecutive rank positions while any strict improvement exists.
+in two stages: a smooth logistic surrogate, maximised by L-BFGS until its
+gradient is within a tolerance of zero, gives an initial ranking, then a local
+search repeatedly re-permutes every window of K consecutive rank positions
+while any strict improvement exists.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import expit
@@ -24,15 +26,20 @@ from .errors import NumericError
 
 MAX_TUPLE_LEN = 8  # K! enumeration guard
 SURROGATE_RIDGE = 1e-4  # keeps the surrogate's maximiser finite
+SURROGATE_GTOL = 1e-4  # gradient 2-norm at which the surrogate fit stops
+SURROGATE_MAX_STEP = 2.0  # bound on any beta_i's move in one line-search trial
 
 
 @dataclass(frozen=True)
 class MasterOptions:
     """Tuning knobs for the two-stage search.
 
-    The surrogate ascent runs at most ``surrogate_iters`` steps. Each starts a
-    halving line search at 0.5/sqrt(mean opponents per player). Only rank(beta)
-    is consumed downstream, so the surrogate's absolute scale is immaterial.
+    ``surrogate_iters`` caps the surrogate's L-BFGS steps; the fit normally
+    stops earlier, on the gradient tolerance ``SURROGATE_GTOL``. Each step's
+    halving line search starts at the L-BFGS step, shortened so that no beta_i
+    moves by more than ``SURROGATE_MAX_STEP``; the first step follows
+    0.5/sqrt(mean opponents per player) times the gradient. Only rank(beta) is
+    consumed downstream, so the surrogate's absolute scale is immaterial.
     """
 
     k: int = 3
@@ -88,11 +95,19 @@ def surrogate_init(
     """Fit the logistic surrogate and return (scores, implied ranking).
 
     Maximises sum over i < j of z_ij * sigmoid(beta_i - beta_j) minus a ridge
-    penalty, by gradient ascent from beta = 0 with a per-iteration halving
-    line search, re-centering beta to mean zero after every step. The
-    penalised objective is non-decreasing across iterations by construction.
+    penalty by two-loop L-BFGS (Liu and Nocedal 1989) from beta = 0,
+    re-centering beta to mean zero after every step. It stops once the
+    gradient's 2-norm is at most ``SURROGATE_GTOL``, after
+    ``opts.surrogate_iters`` steps, or when no step passes the line search.
+    The surrogate is not concave, so a curvature pair with
+    s.y <= 1e-10 * y.y is not stored. The first direction, and any L-BFGS
+    direction that is not an ascent direction (which also clears the pairs),
+    is base_step * gradient. Each line search halves from
+    t = min(1, SURROGATE_MAX_STEP / max|direction|), which keeps steps from
+    jumping between the surrogate's basins, and accepts the first t meeting
+    the Armijo condition, so the penalised objective rises with every step.
     If ``trace`` is a list, the objective value after each accepted step is
-    appended to it.
+    appended to it: one entry per step, non-decreasing.
 
     The sums run over the m pairs of ``counts.decisive`` (z_ij != 0) only;
     the others add nothing. Each line-search trial and each gradient
@@ -108,36 +123,77 @@ def surrogate_init(
         sig = expit(np.take(b, lo) - np.take(b, hi))
         return float(zw @ sig - SURROGATE_RIDGE * (b @ b)), sig
 
+    def gradient(b: np.ndarray, sig: np.ndarray) -> np.ndarray:
+        g = zw * (sig * (1.0 - sig))
+        grad = np.bincount(lo, g, n) - np.bincount(hi, g, n) - 2.0 * SURROGATE_RIDGE * b
+        if not np.all(np.isfinite(grad)):
+            raise NumericError("non-finite gradient in surrogate ascent")
+        return grad
+
     mean_degree = np.count_nonzero(counts.pair_counts) / n
     base_step = 0.5 / math.sqrt(max(mean_degree, 1.0))
 
     beta = np.zeros(n)
     obj, sig = objective(beta)
+    grad = gradient(beta, sig)
+    pairs: list = []  # the last 10 curvature pairs (s, y, 1 / s.y), oldest first
     for _ in range(opts.surrogate_iters):
-        g = zw * (sig * (1.0 - sig))
-        grad = np.bincount(lo, g, n) - np.bincount(hi, g, n) - 2.0 * SURROGATE_RIDGE * beta
-        if not np.all(np.isfinite(grad)):
-            raise NumericError("non-finite gradient in surrogate ascent")
-        if float(grad @ grad) == 0.0:
+        if math.sqrt(grad @ grad) <= SURROGATE_GTOL:
             break
-        step = base_step
+        direction = grad.copy()
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ direction))
+            direction -= alphas[-1] * y
+        if pairs:
+            s, y, rho = pairs[-1]
+            direction *= 1.0 / (rho * (y @ y))  # s.y / y.y, the usual initial scale
+        else:
+            direction *= base_step
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            direction += (alpha - rho * (y @ direction)) * s
+        if grad @ direction <= 0.0:
+            pairs.clear()
+            direction = base_step * grad
+        slope = grad @ direction
+        step = min(1.0, SURROGATE_MAX_STEP / np.abs(direction).max())
         accepted = None
         for _ in range(40):
-            candidate = beta + step * grad
+            candidate = beta + step * direction
             candidate = candidate - candidate.mean()
             cand_obj, cand_sig = objective(candidate)
             if not math.isfinite(cand_obj):
                 raise NumericError("non-finite objective in surrogate ascent")
-            if cand_obj >= obj:
+            if cand_obj >= obj + 1e-4 * step * slope:
                 accepted = (candidate, cand_obj, cand_sig)
                 break
             step *= 0.5
         if accepted is None:
-            break  # no ascent direction at float precision
-        beta, obj, sig = accepted
+            break  # no ascent step at float precision
+        candidate, obj, sig = accepted
+        new_grad = gradient(candidate, sig)
+        s, y = candidate - beta, grad - new_grad
+        if s @ y > 1e-10 * (y @ y):
+            pairs = pairs[-9:] + [(s, y, 1.0 / (s @ y))]
+        beta, grad = candidate, new_grad
         if trace is not None:
             trace.append(obj)
     return beta, Ranking.from_scores(beta)
+
+
+@lru_cache(maxsize=MAX_TUPLE_LEN)
+def _window_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only k! permutation table and 0/1 ``pick`` matrix for ``ktuple_search``.
+
+    The permutations are in lexicographic order. Built once per k: at k = 8 a
+    build takes about 50 ms and 20 MB.
+    """
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
+    slot_position = np.argsort(perms, axis=1).T  # [a, p]: where p puts slot a
+    pick = (slot_position[:, None] > slot_position[None, :]).reshape(k * k, -1).astype(float)
+    perms.flags.writeable = False
+    pick.flags.writeable = False
+    return perms, pick
 
 
 def ktuple_search(counts: ComparisonCounts, init: Ranking, k: int) -> MasterResult:
@@ -171,9 +227,7 @@ def ktuple_search(counts: ComparisonCounts, init: Ranking, k: int) -> MasterResu
     # contribution[w, l] is the objective term earned when w is ranked above l
     contribution = np.zeros((n, n))
     contribution[lo, hi] = z
-    perms = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
-    slot_position = np.argsort(perms, axis=1).T  # [a, p]: where p puts slot a
-    pick = (slot_position[:, None] > slot_position[None, :]).reshape(k * k, -1).astype(float)
+    perms, pick = _window_tables(k)
 
     order = init.order().copy()  # players from worst to best
     init_objective = score(init, counts)

@@ -10,7 +10,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy.special import expit
 
 from wstrank.data import Ranking
 from wstrank.maxscore import SURROGATE_RIDGE, MasterResult, score
@@ -169,49 +168,22 @@ def bt_oracle_beta(win) -> np.ndarray:
     return beta - beta.mean()
 
 
-def dense_surrogate_init(win, iters: int) -> tuple[np.ndarray, list]:
-    """Logistic-surrogate ascent over all n x n pairs; returns (beta, trace).
+def dense_surrogate_gradient(win, beta) -> np.ndarray:
+    """Gradient of ``maxscore.surrogate_init``'s penalised objective at ``beta``.
 
-    The dense form of ``maxscore.surrogate_init``: every pair enters the
-    objective and the gradient, including unplayed and drawn ones, and each
-    step recomputes the full n x n sigmoid matrix.
+    Written over every pair i < j, including unplayed and drawn ones, one
+    pair at a time: the term z_ij * sigmoid(beta_i - beta_j) adds
+    z_ij * s * (1 - s) to the i-th component and subtracts it from the j-th.
     """
-    win = np.asarray(win)
-    n = win.shape[0]
-    z = (win - win.T).astype(float)
-    iu, ju = np.triu_indices(n, 1)
-    z_upper = z[iu, ju]
-
-    def objective(b: np.ndarray) -> float:
-        return float(z_upper @ expit(b[iu] - b[ju]) - SURROGATE_RIDGE * (b @ b))
-
-    mean_degree = float(((win + win.T) > 0).sum(axis=1).mean())
-    base_step = 0.5 / math.sqrt(max(mean_degree, 1.0))
-
-    trace: list = []
-    beta = np.zeros(n)
-    obj = objective(beta)
-    for _ in range(iters):
-        diff = beta[:, None] - beta[None, :]
-        sig = expit(diff)
-        grad = (z * (sig * (1.0 - sig))).sum(axis=1) - 2.0 * SURROGATE_RIDGE * beta
-        if float(grad @ grad) == 0.0:
-            break
-        step = base_step
-        accepted = None
-        for _ in range(40):
-            candidate = beta + step * grad
-            candidate = candidate - candidate.mean()
-            cand_obj = objective(candidate)
-            if cand_obj >= obj:
-                accepted = (candidate, cand_obj)
-                break
-            step *= 0.5
-        if accepted is None:
-            break
-        beta, obj = accepted
-        trace.append(obj)
-    return beta, trace
+    n = len(win)
+    grad = [-2.0 * SURROGATE_RIDGE * float(b) for b in beta]
+    for i in range(n):
+        for j in range(i + 1, n):
+            z = int(win[i][j]) - int(win[j][i])
+            s = 1.0 / (1.0 + math.exp(-(float(beta[i]) - float(beta[j]))))
+            grad[i] += z * s * (1.0 - s)
+            grad[j] -= z * s * (1.0 - s)
+    return np.array(grad)
 
 
 def rescan_ktuple_search(counts, init, k) -> MasterResult:

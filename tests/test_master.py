@@ -17,9 +17,15 @@ from wstrank import (
     score,
     surrogate_init,
 )
+from wstrank.maxscore import SURROGATE_GTOL, _window_tables
 from wstrank.simulation import replicate_rng
 
-from oracles import brute_score, dense_surrogate_init, exhaustive_max_score, rescan_ktuple_search
+from oracles import (
+    brute_score,
+    dense_surrogate_gradient,
+    exhaustive_max_score,
+    rescan_ktuple_search,
+)
 
 
 def counts_from_wins(win):
@@ -168,33 +174,46 @@ class TestSurrogateInit:
 
     @given(surrogate_instances())
     @settings(max_examples=60, deadline=None)
-    def test_matches_dense_oracle(self, win):
+    def test_stops_at_a_stationary_point(self, win):
+        # Unless the fit spent its whole step budget, the dense oracle's
+        # gradient at the returned beta is within the stopping tolerance. The
+        # slack covers the two gradients summing the same terms in different
+        # orders: rounding of about 1e-16 per term over at most 435 pairs.
         trace: list = []
-        beta, ranking = surrogate_init(counts_from_wins(win), trace=trace)
-        dense_beta, dense_trace = dense_surrogate_init(win, MasterOptions().surrogate_iters)
-        np.testing.assert_allclose(beta, dense_beta, rtol=0, atol=1e-9)
-        assert len(trace) == len(dense_trace)
-        np.testing.assert_allclose(trace, dense_trace, rtol=1e-9, atol=1e-12)
-        # Where the dense betas separate two neighbours, the ranking agrees.
-        order = np.argsort(dense_beta, kind="stable")
-        for worse, better in zip(order, order[1:]):
-            if dense_beta[better] - dense_beta[worse] > 1e-9:
-                assert ranking.ranks[worse] < ranking.ranks[better]
+        beta, _ = surrogate_init(counts_from_wins(win), trace=trace)
+        if len(trace) < MasterOptions().surrogate_iters:
+            grad = dense_surrogate_gradient(win, beta)
+            assert np.linalg.norm(grad) <= SURROGATE_GTOL + 1e-10
+
+    @given(surrogate_instances())
+    @settings(max_examples=40, deadline=None)
+    def test_objective_trace_is_monotone(self, win):
+        trace: list = []
+        surrogate_init(counts_from_wins(win), trace=trace)
+        assert all(b >= a for a, b in zip(trace, trace[1:]))
 
     @given(surrogate_instances(), st.data())
     @settings(max_examples=40, deadline=None)
     def test_relabelling_permutes_scores(self, win, data):
+        # Relabelling reorders the decisive pairs, hence every float sum, and
+        # the L-BFGS steps carry that rounding forward. Where a component of
+        # the game graph is only held in place by the ridge, the fit stops on
+        # the gradient tolerance before that nearly flat direction settles, so
+        # the two fits can stop apart along it, more so the larger the betas
+        # (|beta| reaches ~ 40 on converged fits). Over 15,000 drawn instances
+        # the gap was about 1e-11 * max(1, max|beta|) at the 99th percentile
+        # and at most 1.2e-6 times it.
         sigma = np.array(data.draw(st.permutations(range(len(win)))))
         beta, _ = surrogate_init(counts_from_wins(win))
         moved, _ = surrogate_init(counts_from_wins(win[np.ix_(sigma, sigma)]))
-        np.testing.assert_allclose(moved, beta[sigma], rtol=0, atol=1e-9)
+        atol = 1e-5 * max(1.0, float(np.abs(beta).max()))
+        np.testing.assert_allclose(moved, beta[sigma], rtol=0, atol=atol)
 
-    def test_objective_trace_is_monotone(self):
+    def test_stops_before_the_step_cap(self):
         counts, _ = random_instance(5, 30)
         trace: list = []
         surrogate_init(counts, trace=trace)
-        assert len(trace) > 0
-        assert all(b >= a for a, b in zip(trace, trace[1:]))
+        assert 0 < len(trace) < MasterOptions().surrogate_iters
 
     def test_centered_and_deterministic(self):
         counts, _ = random_instance(6, 25)
@@ -262,6 +281,14 @@ class TestKtupleSearch:
         assert result.objective == expected.objective
         assert result.init_objective == expected.init_objective
         assert result.sweeps == expected.sweeps
+
+    def test_window_tables_are_cached_and_read_only(self):
+        perms, pick = _window_tables(4)
+        assert _window_tables(4)[0] is perms and _window_tables(4)[1] is pick
+        assert perms.shape == (24, 4) and pick.shape == (16, 24)
+        assert not perms.flags.writeable and not pick.flags.writeable
+        with pytest.raises(ValueError):
+            pick[0, 0] = 2.0
 
     def test_k_out_of_range(self):
         counts, _ = random_instance(1, 6)
