@@ -10,7 +10,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -19,9 +20,11 @@ from .errors import DataError
 FILTER_POLICIES = ("no-wins", "bt-connected")
 
 
-@dataclass(frozen=True)
-class MatchRecord:
-    """One game: ``winner`` beat ``loser``. Ties have no representation."""
+class MatchRecord(NamedTuple):
+    """One game: ``winner`` beat ``loser``. Ties have no representation.
+
+    A plain tuple underneath, so it equals ``(winner, loser)``.
+    """
 
     winner: str
     loser: str
@@ -192,29 +195,29 @@ class ProbabilityMatrix:
         return hash(self.probs.tobytes())
 
 
-def load_matches(records: Sequence[MatchRecord]) -> ComparisonCounts:
+def load_matches(records: Iterable[MatchRecord]) -> ComparisonCounts:
     """Aggregate match records into comparison counts.
 
     Distinct identifiers become indices 0..n-1 in order of first appearance,
     retained as ``labels``. Records are validated here (not at construction)
     so a malformed record can be reported with its position in the sequence.
+    Validation is vectorised over all records, and the earliest bad record
+    is reported: an empty identifier before a winner equal to the loser.
     """
-    if not records:
+    names = list(chain.from_iterable(records))  # w1, l1, w2, l2, ...
+    if not names:
         raise DataError("no match records given")
-    index: dict[str, int] = {}
-    games: list[tuple[int, int]] = []
-    for row, rec in enumerate(records, start=1):
-        winner, loser = rec.winner, rec.loser
-        if not winner or not loser:
-            raise DataError(f"record {row}: empty player identifier")
-        if winner == loser:
-            raise DataError(f"record {row}: winner equals loser ({winner!r})")
-        for name in (winner, loser):
-            if name not in index:
-                index[name] = len(index)
-        games.append((index[winner], index[loser]))
+    index = {name: i for i, name in enumerate(dict.fromkeys(names))}
+    codes = np.fromiter(map(index.__getitem__, names), np.int64, len(names)).reshape(-1, 2)
+    winners, losers = codes.T
+    empty = np.isin(codes, [i for name, i in index.items() if not name]).any(axis=1)
+    bad = empty | (winners == losers)
+    if bad.any():
+        row = int(bad.argmax())
+        if empty[row]:
+            raise DataError(f"record {row + 1}: empty player identifier")
+        raise DataError(f"record {row + 1}: winner equals loser ({names[2 * row]!r})")
     n = len(index)
-    winners, losers = np.array(games, dtype=np.int64).T
     win = np.bincount(winners * n + losers, minlength=n * n).reshape(n, n)
     return ComparisonCounts(win + win.T, win, labels=tuple(index))
 
@@ -333,7 +336,9 @@ def read_match_csv(path) -> list[MatchRecord]:
     """Read a ``winner,loser`` match file (UTF-8, one game per row).
 
     A leading UTF-8 byte-order mark, as some spreadsheet exports write, is
-    skipped.
+    skipped, and so are blank lines. Identifiers are not checked here; see
+    :func:`load_matches`. An error names the physical line the bad row ends
+    on, which differs from the row count once a quoted field spans lines.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -344,12 +349,11 @@ def read_match_csv(path) -> list[MatchRecord]:
             if [h.strip() for h in header] != ["winner", "loser"]:
                 raise DataError(f"{path}: expected header 'winner,loser', got {header!r}")
             records = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise DataError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-                records.append(MatchRecord(row[0], row[1]))
+            for row in reader:
+                if len(row) == 2:
+                    records.append(MatchRecord(*row))
+                elif row:
+                    raise DataError(f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}")
         except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
             raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     return records
@@ -359,5 +363,4 @@ def write_match_csv(path, records: Iterable[MatchRecord]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["winner", "loser"])
-        for rec in records:
-            writer.writerow([rec.winner, rec.loser])
+        writer.writerows(records)

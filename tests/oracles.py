@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from wstrank.data import Ranking
+from wstrank.data import ComparisonCounts, Ranking
+from wstrank.errors import DataError
 from wstrank.maxscore import SURROGATE_RIDGE, MasterResult, score
 
 
@@ -69,6 +70,29 @@ def brute_decisive(win) -> tuple[list[int], list[int], list[int]]:
                 hi.append(j)
                 z.append(net)
     return lo, hi, z
+
+
+def loop_load_matches(records) -> ComparisonCounts:
+    """``data.load_matches`` one record at a time, stopping at the first bad one."""
+    if not records:
+        raise DataError("no match records given")
+    index: dict[str, int] = {}
+    games: list[tuple[int, int]] = []
+    for row, rec in enumerate(records, start=1):
+        winner, loser = rec.winner, rec.loser
+        if not winner or not loser:
+            raise DataError(f"record {row}: empty player identifier")
+        if winner == loser:
+            raise DataError(f"record {row}: winner equals loser ({winner!r})")
+        for name in (winner, loser):
+            if name not in index:
+                index[name] = len(index)
+        games.append((index[winner], index[loser]))
+    n = len(index)
+    win = np.zeros((n, n), dtype=np.int64)
+    for w, l in games:
+        win[w, l] += 1
+    return ComparisonCounts(win + win.T, win, labels=tuple(index))
 
 
 def dense_skew_statistic(win) -> np.ndarray:

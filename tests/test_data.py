@@ -2,7 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wstrank
@@ -30,6 +30,7 @@ from oracles import (
     dense_skew_statistic,
     is_strongly_connected,
     largest_strong_component,
+    loop_load_matches,
 )
 
 
@@ -91,6 +92,38 @@ def twin_cycles(draw):
     return win
 
 
+@st.composite
+def match_records(draw):
+    """Valid games among a few players, with 0-3 bad records at random positions.
+
+    A bad record has an empty winner, an empty loser, a winner equal to the
+    loser, or both identifiers empty (empty and a self-game at once).
+    """
+    players = ["A", "B", "C", "D", "É"]
+    games = draw(
+        st.lists(
+            st.tuples(st.sampled_from(players), st.sampled_from(players)).filter(
+                lambda t: t[0] != t[1]
+            ),
+            max_size=40,
+        )
+    )
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        name = draw(st.sampled_from(players))
+        bad = draw(st.sampled_from([("", name), (name, ""), (name, name), ("", "")]))
+        games.insert(draw(st.integers(min_value=0, max_value=len(games))), bad)
+    return [MatchRecord(w, l) for w, l in games]
+
+
+def load_outcome(load, recs):
+    """(pair_counts, win_counts, labels) of ``load(recs)``, or its DataError message."""
+    try:
+        counts = load(recs)
+    except DataError as exc:
+        return str(exc)
+    return counts.pair_counts.tolist(), counts.win_counts.tolist(), counts.labels
+
+
 class TestLoadMatches:
     def test_single_pair_counts(self):
         counts = load_matches(records(("A", "B"), ("B", "A"), ("A", "B")))
@@ -112,6 +145,14 @@ class TestLoadMatches:
     def test_empty_identifier_rejected(self):
         with pytest.raises(DataError, match="record 1"):
             load_matches(records(("", "B")))
+
+    @given(match_records())
+    @example(records(("A", "B"), ("C", "C"), ("", "D")))  # self-game first
+    @example(records(("A", "B"), ("D", ""), ("C", "C")))  # empty identifier first
+    @example(records(("A", "B"), ("", "")))  # both at once: empty identifier
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop_oracle(self, recs):
+        assert load_outcome(load_matches, recs) == load_outcome(loop_load_matches, recs)
 
     def test_first_appearance_indexing(self):
         counts = load_matches(records(("Z", "A"), ("A", "M")))
@@ -347,12 +388,42 @@ class TestDecisivePairs:
         assert counts.decisive is counts.decisive
 
 
+# CSV's special characters, or any text UTF-8 can encode (NUL aside: Python
+# 3.10's csv reader refuses it)
+IDENTIFIERS = st.text(
+    st.sampled_from(',"\n\r ab') | st.characters(codec="utf-8", exclude_characters="\x00")
+)
+
+
 class TestSerialization:
     def test_match_csv_round_trip(self, tmp_path):
         recs = records(("Doe, Jane", "Poe, Edgar"), ("Poe, Edgar", "Doe, Jane"))
         path = tmp_path / "m.csv"
         write_match_csv(path, recs)
         assert read_match_csv(path) == recs
+
+    @given(st.lists(st.tuples(IDENTIFIERS, IDENTIFIERS), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_match_csv_round_trip_any_identifier(self, tmp_path_factory, pairs):
+        # commas, quotes, line breaks and any non-ASCII text survive quoting
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        recs = records(*pairs)
+        write_match_csv(path, recs)
+        back = read_match_csv(path)
+        assert back == recs
+        assert all(type(rec) is MatchRecord for rec in back)
+
+    def test_match_csv_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("winner,loser\n\nA,B\n\n\nB,A\n")
+        assert read_match_csv(path) == records(("A", "B"), ("B", "A"))
+
+    def test_match_csv_field_count_error_names_the_physical_line(self, tmp_path):
+        # the quoted field spans lines 2-3, so the one-field row is on line 4
+        path = tmp_path / "m.csv"
+        path.write_text('winner,loser\n"A\nB",C\nD\n')
+        with pytest.raises(DataError, match=r"m\.csv:4: expected 2 fields, got 1$"):
+            read_match_csv(path)
 
     def test_match_csv_skips_byte_order_mark(self, tmp_path):
         path = tmp_path / "m.csv"
