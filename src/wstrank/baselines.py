@@ -14,8 +14,8 @@ from .data import (
     ComparisonCounts,
     ProbabilityMatrix,
     Ranking,
-    same_strong_component,
     skew_statistic,
+    strong_component,
 )
 from .errors import ConvergenceError, DataError, NotConnectedError
 
@@ -55,11 +55,12 @@ def bt_fit(counts: ComparisonCounts) -> tuple[np.ndarray, Ranking]:
     Uses the minorization-maximization fixed point on the strength scale,
     stopping once the log-likelihood gradient norm drops to ``BT_TOL``, and
     raising ``ConvergenceError`` after ``BT_MAX_ITERS`` iterations.
-    The MLE exists iff the win digraph is strongly connected; anything else
-    raises before iterating.
+    The MLE exists iff the win digraph is strongly connected, which two
+    searches from player 0 check (see :func:`strong_component`); anything
+    else raises before iterating.
     """
     n = counts.n
-    if not same_strong_component(counts).all():
+    if not strong_component(counts, 0).all():
         raise NotConnectedError(
             "comparison graph is not strongly connected; "
             "apply filter_players(counts, 'bt-connected') first"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -106,13 +106,15 @@ class ComparisonCounts:
             raise ValueError("pair_counts must be a non-empty square matrix")
         if win.shape != pair.shape:
             raise ValueError("win_counts shape differs from pair_counts")
-        if (pair < 0).any() or (win < 0).any():
-            raise ValueError("counts must be non-negative")
-        if np.diagonal(pair).any() or np.diagonal(win).any():
-            raise ValueError("diagonal entries must be zero")
-        if not np.array_equal(pair, pair.T):
-            raise ValueError("pair_counts must be symmetric")
-        if not np.array_equal(win + win.T, pair):
+        # Non-negative wins, a zero win diagonal and win + win.T == pair imply
+        # every other invariant; the checks below only pick the message.
+        if (win < 0).any() or np.diagonal(win).any() or not np.array_equal(win + win.T, pair):
+            if (pair < 0).any() or (win < 0).any():
+                raise ValueError("counts must be non-negative")
+            if np.diagonal(pair).any() or np.diagonal(win).any():
+                raise ValueError("diagonal entries must be zero")
+            if not np.array_equal(pair, pair.T):
+                raise ValueError("pair_counts must be symmetric")
             raise ValueError("win_counts[i,j] + win_counts[j,i] must equal pair_counts[i,j]")
         labels = self.labels
         if labels is not None:
@@ -222,21 +224,56 @@ def load_matches(records: Iterable[MatchRecord]) -> ComparisonCounts:
     return ComparisonCounts(win + win.T, win, labels=tuple(index))
 
 
-def same_strong_component(counts: ComparisonCounts) -> np.ndarray:
-    """``same[i, j]`` iff players i and j reach each other along win edges (i -> j iff i beat j).
+def _reach(adj: np.ndarray, start: int) -> np.ndarray:
+    """Mask of the players reachable from ``start`` along ``adj``, by frontier search."""
+    seen = np.zeros(adj.shape[0], dtype=bool)
+    seen[start] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return seen
 
-    Reachability is the transitive closure by repeated squaring; float32
-    products of 0/1 matrices are exact up to 2**24 players. Not
-    ``scipy.sparse.csgraph``: importing it adds about 10 MB of resident
-    memory to every process that fits Bradley-Terry.
+
+def strong_component(counts: ComparisonCounts, player: int) -> np.ndarray:
+    """Mask of the strongly connected component of the win digraph holding ``player``.
+
+    The edge i -> j means i beat j. The component is the players that
+    ``player`` reaches forward and that reach it backward: two frontier
+    searches (Fleischer, Hendrickson and Pinar 2000), O(n^2) on the dense
+    adjacency.
     """
-    reach = (counts.win_counts > 0) | np.eye(counts.n, dtype=bool)
+    adj = counts.win_counts > 0
+    return _reach(adj, player) & _reach(adj.T, player)
+
+
+def largest_strong_component(counts: ComparisonCounts) -> np.ndarray:
+    """Mask of the largest strongly connected component of the win digraph.
+
+    First the component of the player with the most opponents is searched
+    (:func:`strong_component`); if it holds more than half the players it
+    is the unique largest one. Only otherwise, as on a graph split into
+    small components, does this fall back to the full transitive closure by
+    float32 matrix products (exact up to 2**24 players), taking among
+    components of equal size the one holding the smallest index. Not
+    ``scipy.sparse.csgraph``: importing it adds about 10 MB of resident
+    memory to every process that ingests a match file.
+    """
+    n = counts.n
+    component = strong_component(counts, int(np.count_nonzero(counts.pair_counts, axis=1).argmax()))
+    if 2 * np.count_nonzero(component) > n:
+        return component
+    reach = (counts.win_counts > 0) | np.eye(n, dtype=bool)
     while True:
         paths = reach.astype(np.float32)
         grown = (paths @ paths) > 0
         if np.array_equal(grown, reach):
-            return reach & reach.T
+            break
         reach = grown
+    same = reach & reach.T
+    # argmax takes the first row of largest size: among equal-size
+    # components, the one holding the smallest index
+    return same[same.sum(axis=1).argmax()]
 
 
 def filter_players(
@@ -246,8 +283,10 @@ def filter_players(
 
     ``"no-wins"`` removes, in a single pass, every player without a single
     win. ``"bt-connected"`` keeps only the largest strongly connected
-    component of the win digraph (see :func:`same_strong_component`),
-    which is the precondition for a well-posed Bradley-Terry likelihood.
+    component of the win digraph, which is the precondition for a
+    well-posed Bradley-Terry likelihood; see
+    :func:`largest_strong_component` for how it is found and for the
+    tie-break between components of equal size.
     The index map sends new indices to original ones.
     """
     if policy not in FILTER_POLICIES:
@@ -255,10 +294,7 @@ def filter_players(
     if policy == "no-wins":
         keep = np.flatnonzero(counts.win_counts.sum(axis=1) > 0)
     else:
-        same = same_strong_component(counts)
-        # argmax takes the first row of largest size: among equal-size
-        # components, the one holding the smallest original index
-        keep = np.flatnonzero(same[same.sum(axis=1).argmax()])
+        keep = np.flatnonzero(largest_strong_component(counts))
         if keep.size < 2:
             raise DataError("no strongly connected component with at least 2 players")
     if keep.size == 0:
@@ -337,17 +373,41 @@ def read_match_csv(path) -> list[MatchRecord]:
 
     A leading UTF-8 byte-order mark, as some spreadsheet exports write, is
     skipped, and so are blank lines. Identifiers are not checked here; see
-    :func:`load_matches`. An error names the physical line the bad row ends
-    on, which differs from the row count once a quoted field spans lines.
+    :func:`load_matches`. The records are built straight from the csv
+    reader's rows, with no Python code per row, and their field counts are
+    checked all at once. Only if that finds a bad row, or reading raises,
+    is the file read again row by row, so that the error names the first
+    problem the row-by-row read meets: a bad row by the physical line it
+    ends on (which differs from the row count once a quoted field spans
+    lines), or, once the decoder reaches it, the line and file offset of
+    the first byte that is not valid UTF-8.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path}: empty match file")
-            if [h.strip() for h in header] != ["winner", "loser"]:
-                raise DataError(f"{path}: expected header 'winner,loser', got {header!r}")
+            _check_header(path, next(reader, None))
+            # tuple.__new__ is MatchRecord._make without its per-call Python frame
+            records = list(map(tuple.__new__, repeat(MatchRecord), filter(None, reader)))
+        except (csv.Error, UnicodeDecodeError):
+            records = None
+    if records is None or set(map(len, records)) - {2}:
+        records = _read_match_rows(path)
+    return records
+
+
+def _check_header(path, header: list[str] | None) -> None:
+    if header is None:
+        raise DataError(f"{path}: empty match file")
+    if [h.strip() for h in header] != ["winner", "loser"]:
+        raise DataError(f"{path}: expected header 'winner,loser', got {header!r}")
+
+
+def _read_match_rows(path) -> list[MatchRecord]:
+    """:func:`read_match_csv` one row at a time, stopping at the first bad row."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            _check_header(path, next(reader, None))
             records = []
             for row in reader:
                 if len(row) == 2:
@@ -356,7 +416,30 @@ def read_match_csv(path) -> list[MatchRecord]:
                     raise DataError(f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}")
         except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
             raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise _utf8_error(path) from None
     return records
+
+
+def _utf8_error(path) -> DataError:
+    """A DataError naming the first byte of ``path`` that is not valid UTF-8.
+
+    The decoder's own offset counts from the start of its current chunk, so
+    the file's bytes are read again to find the offset in the file.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # lines before the bad byte, plus its own: the appended byte keeps a
+        # line break just before it from going uncounted
+        line = len((data[: exc.start] + b".").splitlines())
+        return DataError(
+            f"{path}:{line}: not valid UTF-8: byte 0x{data[exc.start]:02x} "
+            f"at file offset {exc.start} ({exc.reason})"
+        )
+    return DataError(f"{path}: not valid UTF-8")
 
 
 def write_match_csv(path, records: Iterable[MatchRecord]) -> None:

@@ -6,12 +6,13 @@ oracles against the optimised library code and must not share its shortcuts.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
 import numpy as np
 
-from wstrank.data import ComparisonCounts, Ranking
+from wstrank.data import ComparisonCounts, MatchRecord, Ranking
 from wstrank.errors import DataError
 from wstrank.maxscore import SURROGATE_RIDGE, MasterResult, score
 
@@ -93,6 +94,45 @@ def loop_load_matches(records) -> ComparisonCounts:
     for w, l in games:
         win[w, l] += 1
     return ComparisonCounts(win + win.T, win, labels=tuple(index))
+
+
+def loop_read_match_csv(path) -> list[MatchRecord]:
+    """``data.read_match_csv`` one row at a time, stopping at the first bad row."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty match file")
+            if [h.strip() for h in header] != ["winner", "loser"]:
+                raise DataError(f"{path}: expected header 'winner,loser', got {header!r}")
+            records = []
+            for row in reader:
+                if len(row) == 2:
+                    records.append(MatchRecord(*row))
+                elif row:
+                    raise DataError(f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}")
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    return records
+
+
+def counts_error(pair, win) -> str | None:
+    """The message ``ComparisonCounts(pair, win)`` raises, checking each invariant in turn.
+
+    ``None`` if every invariant holds. Shapes are assumed square and equal.
+    """
+    pair = np.asarray(pair, dtype=np.int64)
+    win = np.asarray(win, dtype=np.int64)
+    if (pair < 0).any() or (win < 0).any():
+        return "counts must be non-negative"
+    if np.diagonal(pair).any() or np.diagonal(win).any():
+        return "diagonal entries must be zero"
+    if not np.array_equal(pair, pair.T):
+        return "pair_counts must be symmetric"
+    if not np.array_equal(win + win.T, pair):
+        return "win_counts[i,j] + win_counts[j,i] must equal pair_counts[i,j]"
+    return None
 
 
 def dense_skew_statistic(win) -> np.ndarray:

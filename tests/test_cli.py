@@ -287,6 +287,12 @@ class TestRank:
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["rank", "--input", str(tmp_path / "nope.csv"), "--method", "master"]) == 3
 
+    def test_invalid_utf8_exits_3_naming_line_and_offset(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("winner,loser\nA,B\nJosé,A\n".encode("latin-1"))
+        assert main(["rank", "--input", str(path), "--method", "counting"]) == 3
+        assert f"{path}:3: not valid UTF-8: byte 0xe9 at file offset 20" in capsys.readouterr().err
+
     def test_numeric_failure_exits_4(self, small_matches, monkeypatch, capsys):
         import wstrank.simulation
         from wstrank.errors import ConvergenceError

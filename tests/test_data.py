@@ -1,3 +1,5 @@
+import csv
+import io
 from collections import Counter
 
 import numpy as np
@@ -8,11 +10,14 @@ from hypothesis import strategies as st
 import wstrank
 from wstrank import (
     ComparisonCounts,
+    ConvergenceError,
     DataError,
     MatchRecord,
+    NotConnectedError,
     ProbabilityMatrix,
     Ranking,
     SimConfig,
+    bt_fit,
     check_wst,
     filter_players,
     gen_counts,
@@ -22,16 +27,19 @@ from wstrank import (
     skew_statistic,
     write_match_csv,
 )
+from wstrank.data import largest_strong_component, strong_component
 from wstrank.simulation import replicate_rng
 
 from oracles import (
     brute_decisive,
     brute_wst_violations,
+    counts_error,
     dense_skew_statistic,
     is_strongly_connected,
-    largest_strong_component,
     loop_load_matches,
+    loop_read_match_csv,
 )
+from oracles import largest_strong_component as oracle_largest_component
 
 
 def records(*pairs):
@@ -193,7 +201,52 @@ class TestLoadMatches:
         assert pair.sum() == 2 * len(pairs)
 
 
+@st.composite
+def broken_counts(draw):
+    """Consistent counts on 2-5 players with one or more invariants then broken.
+
+    Each break is a negative entry, a non-zero diagonal entry, an asymmetric
+    pair count or a win count out of step with its (symmetric) pair count,
+    made in ``pair_counts`` or ``win_counts`` at a random cell.
+    """
+    n = draw(st.integers(min_value=2, max_value=5))
+    cells = st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n)
+    win = np.array(draw(cells)).reshape(n, n)
+    np.fill_diagonal(win, 0)
+    pair = win + win.T
+    kinds = ["negative", "diagonal", "asymmetric", "inconsistent"]
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
+        i, j = draw(st.permutations(range(n)))[:2]
+        target = draw(st.sampled_from([pair, win]))
+        step = draw(st.integers(min_value=1, max_value=3))
+        if kind == "negative":
+            target[draw(st.sampled_from([(i, j), (i, i)]))] = -step
+        elif kind == "diagonal":
+            target[i, i] = step
+        elif kind == "asymmetric":
+            pair[i, j] += step
+        else:
+            pair[i, j] += step
+            pair[j, i] += step
+    return pair, win
+
+
 class TestCountsType:
+    @given(broken_counts())
+    @example((np.array([[0, -1], [-1, 0]]), np.array([[1, 0], [0, 0]])))  # negative and diagonal
+    @example((np.array([[1, 2], [1, 0]]), np.array([[0, 1], [1, 0]])))  # diagonal and asymmetric
+    @example((np.array([[0, 2], [3, 0]]), np.array([[0, 1], [1, 0]])))  # asymmetric, inconsistent
+    @settings(max_examples=300, deadline=None)
+    def test_message_matches_check_sequence(self, matrices):
+        pair, win = matrices
+        expected = counts_error(pair, win)
+        if expected is None:  # the breaks cancelled out
+            ComparisonCounts(pair, win)
+        else:
+            with pytest.raises(ValueError) as info:
+                ComparisonCounts(pair, win)
+            assert str(info.value) == expected
+
     def test_rejects_asymmetric_pairs(self):
         with pytest.raises(ValueError, match="symmetric"):
             ComparisonCounts([[0, 2], [1, 0]], [[0, 1], [1, 0]])
@@ -274,7 +327,7 @@ class TestFilterPlayers:
     @settings(max_examples=200, deadline=None)
     def test_bt_connected_matches_reachability_oracle(self, win):
         counts = ComparisonCounts(win + win.T, win)
-        expected = largest_strong_component(win)
+        expected = oracle_largest_component(win)
         if len(expected) < 2:
             with pytest.raises(DataError, match="strongly connected"):
                 filter_players(counts, "bt-connected")
@@ -296,6 +349,48 @@ class TestFilterPlayers:
         counts = load_matches(records(("A", "B")))
         with pytest.raises(ValueError, match="policy"):
             filter_players(counts, "strict")
+
+
+def counts_from_edges(n, edges):
+    win = np.zeros((n, n), dtype=int)
+    for a, b in edges:
+        win[a, b] += 1
+    return ComparisonCounts(win + win.T, win)
+
+
+class TestStrongComponents:
+    def test_majority_component_is_found_by_search(self):
+        # a 5-cycle that players 5 and 6 only lose to: the player with the
+        # most opponents (0) lies in a component holding 5 of 7 players
+        cycle = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
+        counts = counts_from_edges(7, cycle + [(0, 5), (0, 6)])
+        expected = [True] * 5 + [False] * 2
+        assert strong_component(counts, 0).tolist() == expected
+        assert largest_strong_component(counts).tolist() == expected
+        assert filter_players(counts, "bt-connected")[1] == (0, 1, 2, 3, 4)
+
+    def test_equal_components_without_majority_take_the_lower_index(self):
+        # two 3-cycles joined one way: player 3 has the most opponents (4),
+        # but its component is no majority, so the closure picks the tie's
+        # lower-index component
+        edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (3, 0), (3, 1)]
+        counts = counts_from_edges(6, edges)
+        assert strong_component(counts, 3).tolist() == [False] * 3 + [True] * 3
+        assert largest_strong_component(counts).tolist() == [True] * 3 + [False] * 3
+        assert filter_players(counts, "bt-connected")[1] == (0, 1, 2)
+
+    @given(st.one_of(win_digraphs(), twin_cycles()))
+    @example(np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))  # a cycle: connected
+    @settings(max_examples=200, deadline=None)
+    def test_bt_fit_refuses_exactly_the_unconnected(self, win):
+        try:
+            bt_fit(ComparisonCounts(win + win.T, win))
+            refused = False
+        except NotConnectedError:
+            refused = True
+        except ConvergenceError:
+            refused = False
+        assert refused == (not is_strongly_connected(win))
 
 
 def probability_matrix(n, entries):
@@ -395,6 +490,40 @@ IDENTIFIERS = st.text(
 )
 
 
+# A field longer than csv.field_size_limit() (131072) is a reader error.
+OVERSIZED_FIELD = "x" * 131073
+BAD_ROWS = ["", "A", '"A\nB"', "A,B,C", '"A\nB",C,D', OVERSIZED_FIELD + ",B", 'A,"' + OVERSIZED_FIELD]
+
+
+def csv_row(fields) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="").writerow(fields)
+    return buffer.getvalue()
+
+
+@st.composite
+def match_file_texts(draw):
+    """Text of a match file: a header and valid rows, some with quoted
+    multi-line identifiers, and 0-3 lines from ``BAD_ROWS`` (blank lines,
+    1- and 3-field rows, oversized fields) each at a random position, the
+    header's included; an optional byte-order mark."""
+    names = st.sampled_from(["A", "B", "é", "Doe, Jane", 'say "hi"', "two\nlines", "c\r\nd"])
+    header = draw(st.sampled_from(["winner,loser", " winner , loser ", "loser,winner"]))
+    lines = [header] + [csv_row(row) for row in draw(st.lists(st.tuples(names, names), max_size=12))]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BAD_ROWS)))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return draw(st.sampled_from(["", "\ufeff"])) + newline.join(lines) + newline
+
+
+def read_outcome(read, path):
+    """The records ``read(path)`` returns, or its DataError message."""
+    try:
+        return read(path)
+    except DataError as exc:
+        return str(exc)
+
+
 class TestSerialization:
     def test_match_csv_round_trip(self, tmp_path):
         recs = records(("Doe, Jane", "Poe, Edgar"), ("Poe, Edgar", "Doe, Jane"))
@@ -434,6 +563,44 @@ class TestSerialization:
         path = tmp_path / "m.csv"
         path.write_text("a,b\nx,y\n")
         with pytest.raises(DataError, match="header"):
+            read_match_csv(path)
+
+    @given(match_file_texts())
+    @example("winner,loser\nA\nA,B,C\n")  # two bad field counts: the first is named
+    @example("winner,loser\nA,B,C\n" + OVERSIZED_FIELD + ",B\n")  # field count before reader error
+    @example("winner,loser\n" + OVERSIZED_FIELD + ",B\nA\n")  # reader error before field count
+    @example('winner,loser\n"A\nB",C,D\nA\n')  # a 3-field row spanning lines 2-3
+    @settings(max_examples=300, deadline=None)
+    def test_match_csv_matches_loop_oracle(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        outcome = read_outcome(read_match_csv, path)
+        assert outcome == read_outcome(loop_read_match_csv, path)
+        if isinstance(outcome, list):
+            assert all(type(rec) is MatchRecord for rec in outcome)
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_match_csv_invalid_utf8_names_line_and_file_offset(self, tmp_path, bom, newline):
+        # past the decoder's first chunk, whose own offsets restart at 0
+        lines = [b"winner,loser"] + [b"p%d,q%d" % (i, i) for i in range(5000)]
+        lines[3000] = b"p2999,q\xff"
+        data = bom + newline.join(lines) + newline
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        offset = data.index(b"\xff")
+        message = f"{path}:3001: not valid UTF-8: byte 0xff at file offset {offset} (invalid start byte)"
+        with pytest.raises(DataError) as info:
+            read_match_csv(path)
+        assert str(info.value) == message
+
+    def test_match_csv_bad_row_before_a_later_bad_byte_is_named(self, tmp_path):
+        # the row-by-row read meets the 3-field row before the decoder
+        # reaches the bad byte, as it did before the records were built in C
+        lines = [b"winner,loser", b"A,B,C"] + [b"p%d,q%d" % (i, i) for i in range(5000)]
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\n".join(lines) + b"\nA,\xff\n")
+        with pytest.raises(DataError, match=r"m\.csv:2: expected 2 fields, got 3$"):
             read_match_csv(path)
 
     def test_match_csv_reader_error_names_the_line(self, tmp_path):
