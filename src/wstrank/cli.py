@@ -10,7 +10,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
+from dataclasses import asdict, dataclass
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +23,7 @@ from .data import FILTER_POLICIES
 from .errors import AlignmentError, DataError, NumericError
 from .maxscore import MasterOptions
 from .metrics import kendall_tau, spearman_rho
-from .simulation import METHODS, SCENARIOS, Fit, SimConfig, StudyResult, rank_counts, run_study
+from .simulation import METHODS, SCENARIOS, MethodStats, SimConfig, rank_counts, run_study
 from .simulation import study_methods
 
 FORMATS = ("table", "csv", "json")
@@ -82,22 +85,74 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
+@dataclass(frozen=True)
+class Report:
+    """What a command prints: scalar ``fields`` and flat ``rows`` keyed by ``columns``.
+
+    JSON nests the rows under ``rows_key``; table and CSV lay them out as
+    columns, with the fields after them.
+    """
+
+    fields: dict
+    rows_key: str
+    columns: tuple[str, ...]
+    rows: list[dict]
+
+
+def _missing(value) -> bool:
+    return value is None or (isinstance(value, float) and math.isnan(value))
+
+
+def render(report: Report, fmt: str) -> str:
+    """The one place that lays out a report in a ``--format``.
+
+    JSON writes a missing value (None or NaN) as null; CSV writes it as an
+    empty cell and floats with repr, so they read back exactly; the table
+    writes "-" and floats to 6 significant digits.
+    """
+    if fmt == "json":
+
+        def strict(d: dict) -> dict:
+            return {k: None if _missing(v) else v for k, v in d.items()}
+
+        payload = {**strict(report.fields), report.rows_key: [strict(r) for r in report.rows]}
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    missing, float_format = ("", repr) if fmt == "csv" else ("-", "{:.6g}".format)
+
+    def cell(value) -> str:
+        if _missing(value):
+            return missing
+        return float_format(value) if isinstance(value, float) else str(value)
+
+    rows = [[cell(row[c]) for c in report.columns] for row in report.rows]
+    fields = [f"{k}={cell(v)}" for k, v in report.fields.items()]
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(report.columns)
+        writer.writerows(rows)
+        return buf.getvalue() + "".join(f"# {f}\n" for f in fields)
+    widths = [max(map(len, column)) for column in zip(report.columns, *rows)]
+    lines = [
+        "  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip()
+        for line in [report.columns, *rows]
+    ]
+    return "\n".join([*lines, " ".join(fields)]) + "\n"
+
+
+def _write(report: Report, args: argparse.Namespace) -> None:
+    text = render(report, args.format)
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
-def _table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+def _master_options(args: argparse.Namespace) -> MasterOptions:
+    try:
+        return MasterOptions(k=args.k)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -116,97 +171,42 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             for n in args.n.split(",")
         ]
         methods = study_methods(tuple(m.strip() for m in args.methods.split(",") if m.strip()))
-        master_opts = MasterOptions(k=args.k)
+        master_opts = _master_options(args)
         if args.threads < 1:
             raise ValueError("--threads must be at least 1")
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    results = [run_study(c, methods, master_opts, args.threads) for c in configs]
-    if args.format == "csv":
-        text = "".join(r.to_csv(header=i == 0) for i, r in enumerate(results))
-    elif args.format == "json":
-        payload = results[0].to_dict() if len(results) == 1 else [r.to_dict() for r in results]
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        text = "\n".join(_study_table(r) for r in results)
-    _emit(text, args.out)
+    # the grid shares every setting but scenario and n; results do not depend on threads
+    shared = {k: v for k, v in asdict(configs[0]).items() if k not in ("scenario", "n")}
+    rows = [
+        {"scenario": c.scenario, "n": c.n, **asdict(s)}
+        for c in configs
+        for s in run_study(c, methods, master_opts, args.threads).stats
+    ]
+    columns = ("scenario", "n", *(f.name for f in dataclass_fields(MethodStats)))
+    _write(Report({**shared, "k": master_opts.k}, "stats", columns, rows), args)
     return 0
 
 
-def _study_table(result: StudyResult) -> str:
-    rows = [
-        [
-            s.method,
-            f"{s.mean_error_pairs:.4f}",
-            f"{s.se_pairs:.4f}",
-            f"{s.mean_error_paper:.4f}",
-            f"{s.se_paper:.4f}",
-            "-" if s.cert_rate is None else f"{s.cert_rate:.2f}",
-            str(s.failures),
-            f"{s.secs:.3f}",
-        ]
-        for s in result.stats
-    ]
-    headers = ["method", "err_pairs", "se", "err_paper", "se", "cert", "failed", "secs"]
-    c = result.config
-    text = f"scenario={c.scenario} n={c.n} reps={c.replicates} seed={c.seed}\n"
-    return text + _table(headers, rows)
-
-
-def _master_options(args: argparse.Namespace) -> MasterOptions:
-    try:
-        return MasterOptions(k=args.k)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-
-
-def _ranking_artifact(counts: ComparisonCounts, method: str, fit: Fit) -> dict:
-    players = [
-        {
-            "position": pos,
-            "label": counts.label(int(i)),
-            "score": float(fit.scores[int(i)]),
-        }
-        for pos, i in enumerate(fit.ranking.best_first(), start=1)
-    ]
-    artifact: dict = {"method": method, "n": counts.n, "players": players}
-    if fit.master is not None:
-        artifact["objective"] = fit.master.objective
-        artifact["init_objective"] = fit.master.init_objective
-        artifact["sweeps"] = fit.master.sweeps
-    return artifact
-
-
-def _format_rank_artifact(artifact: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(artifact, indent=2) + "\n"
-    rows = [
-        [str(p["position"]), p["label"], f"{p['score']:.6g}"] for p in artifact["players"]
-    ]
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["position", "label", "score"])
-        for row in rows:
-            writer.writerow(row)
-        for key in ("objective", "init_objective", "sweeps"):
-            if key in artifact:
-                buf.write(f"# {key}={artifact[key]}\n")
-        return buf.getvalue()
-    text = _table(["position", "label", "score"], rows)
-    extras = [f"{k}={artifact[k]}" for k in ("objective", "init_objective", "sweeps") if k in artifact]
-    if extras:
-        text += " ".join(extras) + "\n"
-    return text
+def _read_counts(path: str, policy: str) -> tuple[ComparisonCounts, ComparisonCounts]:
+    """A match file's counts, as read and after the ``--filter`` policy."""
+    counts = load_matches(read_match_csv(path))
+    return counts, counts if policy == "none" else filter_players(counts, policy)[0]
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
     master_opts = _master_options(args)
-    counts = load_matches(read_match_csv(args.input))
-    if args.filter != "none":
-        counts, _ = filter_players(counts, args.filter)
+    _, counts = _read_counts(args.input, args.filter)
     fit = rank_counts(args.method, counts, master_opts)
-    _emit(_format_rank_artifact(_ranking_artifact(counts, args.method, fit), args.format), args.out)
+    fields: dict = {"method": args.method, "n": counts.n}
+    if fit.master is not None:
+        m = fit.master
+        fields.update(objective=m.objective, init_objective=m.init_objective, sweeps=m.sweeps)
+    players = [
+        {"position": pos, "label": counts.label(int(i)), "score": float(fit.scores[int(i)])}
+        for pos, i in enumerate(fit.ranking.best_first(), start=1)
+    ]
+    _write(Report(fields, "players", ("position", "label", "score"), players), args)
     return 0
 
 
@@ -252,21 +252,20 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     raw_counts = None
     if args.rankings:
+        if args.methods or args.filter != "none":
+            raise _UsageError("--methods and --filter apply to --input mode, not --rankings")
         paths = [p.strip() for p in args.rankings.split(",")]
         if len(paths) != 2:
             raise _UsageError("--rankings expects two comma-separated paths")
         (name_a, ranks_a), (name_b, ranks_b) = (_read_ranking_artifact(p) for p in paths)
         names = [name_a, name_b]
         if args.input:
-            raw_counts = load_matches(read_match_csv(args.input))
+            raw_counts, _ = _read_counts(args.input, "none")
     elif args.input and args.methods:
         methods = [m.strip() for m in args.methods.split(",")]
         if len(methods) != 2 or any(m not in METHODS for m in methods):
             raise _UsageError("--methods expects two of " + ",".join(METHODS))
-        raw_counts = load_matches(read_match_csv(args.input))
-        counts = raw_counts
-        if args.filter != "none":
-            counts, _ = filter_players(counts, args.filter)
+        raw_counts, counts = _read_counts(args.input, args.filter)
         names = methods
         fits = [rank_counts(m, counts, master_opts) for m in methods]
         ranks_a, ranks_b = (
@@ -280,8 +279,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if n < 2:
         raise DataError("need at least 2 players to compare rankings")
     tau = kendall_tau(ra, rb)
-    tau_corr = 1.0 - 4.0 * tau / (n * (n - 1))
-    rho = spearman_rho(ra, rb)
 
     h2h_rows = []
     for a, b in h2h_requests:
@@ -300,35 +297,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
             }
         )
 
-    payload = {
+    fields = {
         "first": names[0],
         "second": names[1],
         "n": n,
         "kendall_tau": tau,
-        "kendall_corr": tau_corr,
-        "spearman_rho": rho,
-        "h2h": h2h_rows,
+        "kendall_corr": 1.0 - 4.0 * tau / (n * (n - 1)),
+        "spearman_rho": spearman_rho(ra, rb),
     }
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["first", "second", "n", "kendall_tau", "kendall_corr", "spearman_rho"])
-        writer.writerow([names[0], names[1], n, tau, f"{tau_corr:.6f}", f"{rho:.6f}"])
-        for row in h2h_rows:
-            writer.writerow(["h2h", row["a"], row["b"], row["a_wins"], row["b_wins"], ""])
-        _emit(buf.getvalue(), args.out)
-    else:
-        lines = [
-            f"comparing {names[0]} vs {names[1]} over {n} players",
-            f"kendall tau distance: {tau}",
-            f"kendall correlation:  {tau_corr:.4f}",
-            f"spearman rho:         {rho:.4f}",
-        ]
-        for row in h2h_rows:
-            lines.append(f"h2h {row['a']} vs {row['b']}: {row['a_wins']}:{row['b_wins']}")
-        _emit("\n".join(lines) + "\n", args.out)
+    _write(Report(fields, "h2h", ("a", "b", "a_wins", "b_wins"), h2h_rows), args)
     return 0
 
 

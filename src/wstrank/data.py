@@ -82,9 +82,6 @@ class Ranking:
             return NotImplemented
         return np.array_equal(self.ranks, other.ranks)
 
-    def __hash__(self) -> int:
-        return hash(self.ranks.tobytes())
-
 
 @dataclass(frozen=True, eq=False)
 class ComparisonCounts:
@@ -158,9 +155,6 @@ class ComparisonCounts:
             and self.labels == other.labels
         )
 
-    def __hash__(self) -> int:
-        return hash((self.pair_counts.tobytes(), self.win_counts.tobytes(), self.labels))
-
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityMatrix:
@@ -192,9 +186,6 @@ class ProbabilityMatrix:
         if not isinstance(other, ProbabilityMatrix):
             return NotImplemented
         return np.array_equal(self.probs, other.probs)
-
-    def __hash__(self) -> int:
-        return hash(self.probs.tobytes())
 
 
 def load_matches(records: Iterable[MatchRecord]) -> ComparisonCounts:

@@ -67,14 +67,6 @@ class MasterResult:
         if self.sweeps < 0:
             raise ValueError("sweeps must be non-negative")
 
-    def to_dict(self) -> dict:
-        return {
-            "ranking": self.ranking.ranks.tolist(),
-            "objective": self.objective,
-            "init_objective": self.init_objective,
-            "sweeps": self.sweeps,
-        }
-
 
 def score(pi: Ranking, counts: ComparisonCounts) -> int:
     """Exact integer objective L(pi), summed over the pairs of ``counts.decisive``.

@@ -111,10 +111,6 @@ class QSequence:
     def __len__(self) -> int:
         return int(self.q_sorted.size)
 
-    @property
-    def n_players(self) -> int:
-        return int((1 + np.sqrt(1 + 8 * len(self))) / 2)
-
     @cached_property
     def _prefix(self) -> np.ndarray:
         return np.cumsum(self.q_sorted)

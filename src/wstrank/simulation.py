@@ -7,13 +7,10 @@ whatever the execution order or degree of parallelism.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -29,24 +26,13 @@ METHODS = ("counting", "bt", "usvt", "master")
 
 
 def study_methods(methods: tuple[str, ...]) -> tuple[str, ...]:
-    """The requested methods in :data:`METHODS` order; ValueError for an unknown one."""
+    """The requested methods in :data:`METHODS` order; ValueError for an unknown one or none."""
+    if not methods:
+        raise ValueError(f"no method given; expected a subset of {METHODS}")
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; expected a subset of {METHODS}")
     return tuple(m for m in METHODS if m in methods)
-
-
-STUDY_CSV_COLUMNS = (
-    "scenario",
-    "n",
-    "method",
-    "mean_error_pairs",
-    "se_pairs",
-    "mean_error_paper",
-    "se_paper",
-    "cert_rate",
-    "secs",
-)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,33 +198,6 @@ class StudyResult:
 
     def by_method(self) -> dict[str, MethodStats]:
         return {s.method: s for s in self.stats}
-
-    def to_csv(self, header: bool = True) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        if header:
-            writer.writerow(STUDY_CSV_COLUMNS)
-        for s in self.stats:
-            writer.writerow(
-                [
-                    self.config.scenario,
-                    self.config.n,
-                    s.method,
-                    f"{s.mean_error_pairs:.6f}",
-                    f"{s.se_pairs:.6f}",
-                    f"{s.mean_error_paper:.6f}",
-                    f"{s.se_paper:.6f}",
-                    "" if s.cert_rate is None else f"{s.cert_rate:.4f}",
-                    f"{s.secs:.3f}",
-                ]
-            )
-        return buf.getvalue()
-
-    def to_dict(self) -> dict:
-        return {"config": asdict(self.config), "methods": [asdict(s) for s in self.stats]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def run_study(

@@ -1,9 +1,11 @@
 import codecs
+import csv
 import itertools
 import json
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from wstrank import (
     SCENARIOS,
     MasterOptions,
     MatchRecord,
+    MethodStats,
     SimConfig,
     run_study,
     synthetic_matches,
@@ -111,7 +114,7 @@ class TestSimulate:
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0].startswith("scenario,n,method")
-        methods = [line.split(",")[2] for line in lines[1:]]
+        methods = [line.split(",")[2] for line in lines[1:] if not line.startswith("# ")]
         assert methods == ["counting", "bt", "usvt", "master"]
 
     def test_odd_n_two_group_is_usage_error(self, capsys):
@@ -123,10 +126,10 @@ class TestSimulate:
         assert main(["simulate", "--scenario", "uniform", "--n", "10", "--fancy"]) == 2
 
     def test_unknown_method_is_usage_error(self, capsys):
-        code = main(
-            ["simulate", "--scenario", "uniform", "--n", "10", "--reps", "2", "--methods", "elo"]
-        )
-        assert code == 2
+        argv = ["simulate", "--scenario", "uniform", "--n", "10", "--reps", "2"]
+        for methods in ("elo", ",", ""):  # an empty list, too, exits before any study
+            assert main([*argv, "--methods", methods]) == 2
+            assert capsys.readouterr().out == ""
 
     def test_threads_below_one_is_usage_error(self, capsys):
         code = main(
@@ -172,19 +175,32 @@ class TestSimulate:
 
         def expected(k):
             grid_settings = itertools.product(("uniform", "two_group"), (10, 12))
-            return "".join(
-                run_study(
+            return [
+                (scenario, n, replace(s, secs=0.0))
+                for scenario, n in grid_settings
+                for s in run_study(
                     SimConfig(scenario=scenario, n=n, replicates=2, seed=0),
                     master_opts=MasterOptions(k=k),
-                ).to_csv(header=i == 0)
-                for i, (scenario, n) in enumerate(grid_settings)
-            )
+                ).stats
+            ]
 
-        def strip_secs(text):
-            return [line.rsplit(",", 1)[0] for line in text.splitlines()]
+        def value(cell):
+            for kind in (int, float):
+                try:
+                    return kind(cell)
+                except ValueError:
+                    pass
+            return cell or None  # an empty cell is a missing value
 
-        assert strip_secs(expected(5)) != strip_secs(expected(3))  # so --k must reach master
-        assert strip_secs(out.read_text()) == strip_secs(expected(5))
+        lines = out.read_text().splitlines()
+        written = []
+        for row in csv.DictReader(line for line in lines if not line.startswith("# ")):
+            scenario, n = row.pop("scenario"), int(row.pop("n"))
+            stats = MethodStats(**{k: value(v) for k, v in row.items()})
+            written.append((scenario, n, replace(stats, secs=0.0)))
+        assert expected(5) != expected(3)  # so --k must reach master
+        assert written == expected(5)
+        assert "# k=5" in lines
 
     def test_grid_json_lists_settings_in_order(self, capsys):
         code = main(
@@ -193,7 +209,7 @@ class TestSimulate:
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        order = [(p["config"]["scenario"], p["config"]["n"]) for p in payload]
+        order = [(row["scenario"], row["n"]) for row in payload["stats"]]
         assert order == [("uniform", 8), ("uniform", 10), ("bt_latent", 8), ("bt_latent", 10)]
 
     def test_bad_setting_exits_before_any_study(self, capsys):
@@ -207,9 +223,22 @@ class TestSimulate:
         code = main(["simulate", "--scenario", "uniform", "--n", "10", "--reps", "2", "--t", "0"])
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
-        column = lines[1].split().index("failed")
-        failed = {row.split()[0]: int(row.split()[column]) for row in lines[2:]}
+        header = lines[0].split()
+        method, column = header.index("method"), header.index("failures")
+        failed = {row.split()[method]: int(row.split()[column]) for row in lines[1:-1]}
         assert failed == {"counting": 0, "bt": 2, "usvt": 2, "master": 0}
+
+    def test_json_is_strict(self, capsys):
+        # with no games BT and USVT fail on every replicate, leaving NaN means
+        argv = ["simulate", "--scenario", "uniform", "--n", "10", "--reps", "2", "--t", "0"]
+        assert main(argv + ["--format", "json"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        bt = next(row for row in payload["stats"] if row["method"] == "bt")
+        assert bt["mean_error_pairs"] is None and bt["failures"] == 2
 
     @given(
         scenarios=st.lists(st.sampled_from(SCENARIOS + ("bogus",)), min_size=1, max_size=2),
@@ -334,7 +363,8 @@ class TestRank:
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "position,label,score"
-        assert lines[1:] == ["1,A,0.75", "2,B,0.25"]
+        assert lines[1:3] == ["1,A,0.75", "2,B,0.25"]
+        assert lines[3:] == ["# method=counting", "# n=2"]
 
 
 class TestCompare:
@@ -462,8 +492,9 @@ class TestCompare:
             ]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert "A vs B: 3:1" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["a", "b", "a_wins", "b_wins"]
+        assert lines[1].split() == ["A", "B", "3", "1"]
 
     def test_h2h_unknown_player(self, small_matches, capsys):
         code = main(
@@ -481,6 +512,18 @@ class TestCompare:
 
     def test_requires_a_mode(self, capsys):
         assert main(["compare"]) == 2
+
+    @pytest.mark.parametrize("flag", [["--methods", "bogus,x"], ["--filter", "bt-connected"]])
+    def test_input_mode_flags_rejected_with_rankings(self, tmp_path, small_matches, capsys, flag):
+        path = tmp_path / "a.json"
+        rank = ["rank", "--input", str(small_matches), "--method", "counting", "--format", "json"]
+        assert main([*rank, "--out", str(path)]) == 0
+        argv = ["compare", "--rankings", f"{path},{path}", "--input", str(small_matches)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + flag) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--rankings" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -540,3 +583,79 @@ class TestScaleSmoke:
             )
             == 0
         )
+
+
+def _read_back(text, fmt):
+    """Fields, column names and rows of a table or CSV report, every value a string."""
+    lines = text.splitlines()
+    if fmt == "table":
+        header = lines[0].split()
+        rows = [dict(zip(header, line.split(), strict=True)) for line in lines[1:-1]]
+        return dict(token.split("=", 1) for token in lines[-1].split()), header, rows
+    end = len(lines)
+    while lines[end - 1].startswith("# "):
+        end -= 1
+    reader = csv.reader(lines[:end])
+    header = next(reader)
+    rows = [dict(zip(header, row, strict=True)) for row in reader]
+    return dict(line[2:].split("=", 1) for line in lines[end:]), header, rows
+
+
+def _shows(cell, value, fmt):
+    """Whether a table or CSV cell reads back as the JSON value."""
+    if value is None:
+        return cell == ("" if fmt == "csv" else "-")
+    if isinstance(value, float):  # CSV writes repr, the table 6 significant digits
+        return float(cell) == (value if fmt == "csv" else pytest.approx(value, rel=1e-5))
+    return cell == str(value)
+
+
+class TestReportLayout:
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    @pytest.mark.parametrize(
+        "command", ["simulate", "rank-master", "rank-usvt", "compare-input", "compare-rankings"]
+    )
+    @given(seed=st.integers(0, 2**16))
+    @settings(max_examples=5, deadline=None)
+    def test_every_json_value_reads_back_under_its_name(self, command, fmt, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            # a quote in every label, which CSV must quote and the table prints as is
+            records = [
+                (w.replace("P00", 'p"'), l.replace("P00", 'p"'))
+                for w, l in synthetic_matches(12, 0.5, seed=seed)
+            ]
+            path = tmp / "matches.csv"
+            write_matches(path, records)
+            h2h = ["--input", str(path), "--h2h", ",".join(records[0])]
+            if command == "simulate":
+                argv = ["simulate", "--scenario", "uniform,two_group", "--n", "6", "--reps", "2"]
+                argv += ["--t", "1", "--xi-low", "0.1", "--seed", str(seed)]
+                rows_key = "stats"
+            elif command.startswith("rank"):
+                argv = ["rank", "--input", str(path), "--method", command[len("rank-") :]]
+                rows_key = "players"
+            elif command == "compare-input":
+                argv = ["compare", "--methods", "master,usvt", *h2h]
+                rows_key = "h2h"
+            else:
+                artifact = tmp / "counting.json"
+                rank = ["rank", "--input", str(path), "--method", "counting", "--format", "json"]
+                assert main([*rank, "--out", str(artifact)]) == 0
+                argv = ["compare", "--rankings", f"{artifact},{artifact}", *h2h]
+                rows_key = "h2h"
+            outputs = {}
+            for f in ("json", fmt):
+                out = tmp / f"out.{f}"
+                assert main([*argv, "--format", f, "--out", str(out)]) == 0
+                outputs[f] = out.read_text()
+        payload = json.loads(outputs["json"])
+        rows = payload.pop(rows_key)
+        fields, header, written = _read_back(outputs[fmt], fmt)
+        assert set(fields) == set(payload)
+        assert all(_shows(fields[k], v, fmt) for k, v in payload.items())
+        assert len(written) == len(rows) > 0
+        for row, read in zip(rows, written):
+            assert header == list(row)
+            # wall time differs between the two runs
+            assert all(_shows(read[k], v, fmt) for k, v in row.items() if k != "secs")

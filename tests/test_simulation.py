@@ -1,4 +1,7 @@
+import csv
+import json
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -16,7 +19,8 @@ from wstrank import (
     run_study,
     synthetic_matches,
 )
-from wstrank.simulation import STUDY_CSV_COLUMNS, replicate_rng
+from wstrank.cli import main
+from wstrank.simulation import replicate_rng
 
 from oracles import sst_holds
 
@@ -136,10 +140,6 @@ def _probs_and_cfg(cfg, replicate):
     return P, cfg, rng
 
 
-def _strip_secs(csv_text):
-    return ["," .join(line.split(",")[:-1]) for line in csv_text.splitlines()]
-
-
 class TestRankCounts:
     def test_ranking_follows_scores(self):
         cfg = SimConfig(scenario="two_group", n=12, seed=2)
@@ -168,7 +168,7 @@ class TestRunStudy:
                 assert sa.mean_error_pairs == so.mean_error_pairs
                 assert sa.se_pairs == so.se_pairs
                 assert sa.cert_rate == so.cert_rate
-        assert _strip_secs(a.to_csv()) == _strip_secs(b.to_csv())
+        assert [replace(s, secs=0.0) for s in a.stats] == [replace(s, secs=0.0) for s in b.stats]
 
     def test_bt_failures_are_tolerated(self):
         # nearly empty schedules leave the win graph disconnected
@@ -190,25 +190,22 @@ class TestRunStudy:
         with pytest.raises(ValueError, match="method"):
             run_study(cfg, methods=("counting", "elo"))
 
-    def test_csv_shape(self):
-        cfg = SimConfig(scenario="uniform", n=12, replicates=2, seed=9)
-        result = run_study(cfg, methods=("counting", "master"))
-        lines = result.to_csv().splitlines()
-        assert lines[0] == ",".join(STUDY_CSV_COLUMNS)
-        assert len(lines) == 3
-        counting_row = lines[1].split(",")
-        master_row = lines[2].split(",")
-        assert counting_row[2] == "counting" and counting_row[7] == ""
-        assert master_row[2] == "master" and master_row[7] != ""
+    def test_csv_shape(self, capsys):
+        argv = ["simulate", "--scenario", "uniform", "--n", "12", "--reps", "2", "--seed", "9"]
+        assert main(argv + ["--methods", "counting,master", "--format", "csv"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()[:3]))
+        assert [r["method"] for r in rows] == ["counting", "master"]
+        assert rows[0]["cert_rate"] == "" and rows[1]["cert_rate"] != ""
 
-    def test_json_round_trips_config(self):
-        import json
-
+    def test_json_round_trips_config(self, capsys):
         cfg = SimConfig(scenario="uniform", n=12, replicates=2, seed=9)
-        result = run_study(cfg, methods=("counting",))
-        payload = json.loads(result.to_json())
-        assert payload["config"]["scenario"] == "uniform"
-        assert payload["methods"][0]["method"] == "counting"
+        argv = ["simulate", "--scenario", "uniform", "--n", "12", "--reps", "2", "--seed", "9"]
+        assert main(argv + ["--methods", "counting", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        row = payload["stats"][0]  # scenario and n vary over a grid, so they sit in the rows
+        merged = {**payload, **row}
+        assert {k: merged[k] for k in asdict(cfg)} == asdict(cfg)
+        assert row["method"] == "counting"
 
 
 class TestSyntheticMatches:
