@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--xi-high", type=float, default=0.5)
     sim.add_argument("--reps", type=int, default=100)
     sim.add_argument("--methods", default=",".join(METHODS))
-    sim.add_argument("--k", type=int, default=3, help="search window length")
+    sim.add_argument("--k", type=int, help="search window length")
     sim.add_argument("--threads", type=int, default=1)
     sim.add_argument("--seed", type=int, default=0)
     add_common(sim)
@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     rank = sub.add_parser("rank", help="rank players from a winner,loser match CSV")
     rank.add_argument("--input", required=True, help="match CSV path")
     rank.add_argument("--method", choices=METHODS, required=True)
-    rank.add_argument("--k", type=int, default=3)
+    rank.add_argument("--k", type=int)
     rank.add_argument("--filter", choices=FILTERS, default="none")
     add_common(rank)
     rank.set_defaults(func=cmd_rank)
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="A,B",
         help="print the head-to-head record of a player pair (repeatable)",
     )
-    comp.add_argument("--k", type=int, default=3)
+    comp.add_argument("--k", type=int, help="master's window length, with --methods")
     add_common(comp)
     comp.set_defaults(func=cmd_compare)
     return parser
@@ -129,8 +129,11 @@ def render(report: Report, fmt: str) -> str:
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
+        # a row starting "#" is quoted, so it cannot be read as a field line
+        quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(report.columns)
-        writer.writerows(rows)
+        for row in rows:
+            (quoted if row and row[0].startswith("#") else writer).writerow(row)
         return buf.getvalue() + "".join(f"# {f}\n" for f in fields)
     widths = [max(map(len, column)) for column in zip(report.columns, *rows)]
     lines = [
@@ -150,7 +153,7 @@ def _write(report: Report, args: argparse.Namespace) -> None:
 
 def _master_options(args: argparse.Namespace) -> MasterOptions:
     try:
-        return MasterOptions(k=args.k)
+        return MasterOptions() if args.k is None else MasterOptions(k=args.k)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
@@ -242,7 +245,6 @@ def _aligned_rankings(ranks_a: dict[str, int], ranks_b: dict[str, int]) -> tuple
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    master_opts = _master_options(args)
     h2h_requests = []
     for request in args.h2h:
         parts = [p.strip() for p in request.split(",")]
@@ -252,8 +254,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     raw_counts = None
     if args.rankings:
-        if args.methods or args.filter != "none":
-            raise _UsageError("--methods and --filter apply to --input mode, not --rankings")
+        if args.methods or args.filter != "none" or args.k is not None:
+            raise _UsageError("--methods, --filter and --k apply to --input mode, not --rankings")
         paths = [p.strip() for p in args.rankings.split(",")]
         if len(paths) != 2:
             raise _UsageError("--rankings expects two comma-separated paths")
@@ -262,6 +264,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if args.input:
             raw_counts, _ = _read_counts(args.input, "none")
     elif args.input and args.methods:
+        master_opts = _master_options(args)
         methods = [m.strip() for m in args.methods.split(",")]
         if len(methods) != 2 or any(m not in METHODS for m in methods):
             raise _UsageError("--methods expects two of " + ",".join(METHODS))

@@ -8,7 +8,7 @@ concurrently.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
 from typing import Iterable, NamedTuple
@@ -85,51 +85,46 @@ class Ranking:
 
 @dataclass(frozen=True, eq=False)
 class ComparisonCounts:
-    """Symmetric game counts ``pair_counts`` and directed win counts ``win_counts``.
+    """Directed win counts: ``win_counts[i, j]`` is how many games ``i`` won against ``j``.
 
-    ``pair_counts[i, j]`` is the number of games between ``i`` and ``j`` and
-    ``win_counts[i, j]`` how many of them ``i`` won, so
-    ``win_counts + win_counts.T == pair_counts`` off the (zero) diagonal.
+    The game counts ``pair_counts = win_counts + win_counts.T`` follow from
+    them. ``labels`` is keyword-only, so a positional second matrix is an
+    error rather than a silent set of labels.
     """
 
-    pair_counts: np.ndarray
     win_counts: np.ndarray
-    labels: tuple[str, ...] | None = None
+    labels: tuple[str, ...] | None = field(default=None, kw_only=True)
 
     def __post_init__(self) -> None:
-        pair = np.array(self.pair_counts, dtype=np.int64)
         win = np.array(self.win_counts, dtype=np.int64)
-        if pair.ndim != 2 or pair.shape[0] != pair.shape[1] or pair.shape[0] == 0:
-            raise ValueError("pair_counts must be a non-empty square matrix")
-        if win.shape != pair.shape:
-            raise ValueError("win_counts shape differs from pair_counts")
-        # Non-negative wins, a zero win diagonal and win + win.T == pair imply
-        # every other invariant; the checks below only pick the message.
-        if (win < 0).any() or np.diagonal(win).any() or not np.array_equal(win + win.T, pair):
-            if (pair < 0).any() or (win < 0).any():
-                raise ValueError("counts must be non-negative")
-            if np.diagonal(pair).any() or np.diagonal(win).any():
-                raise ValueError("diagonal entries must be zero")
-            if not np.array_equal(pair, pair.T):
-                raise ValueError("pair_counts must be symmetric")
-            raise ValueError("win_counts[i,j] + win_counts[j,i] must equal pair_counts[i,j]")
+        if win.ndim != 2 or win.shape[0] != win.shape[1] or win.shape[0] == 0:
+            raise ValueError("win_counts must be a non-empty square matrix")
+        if (win < 0).any():
+            raise ValueError("counts must be non-negative")
+        if np.diagonal(win).any():
+            raise ValueError("diagonal entries must be zero")
         labels = self.labels
         if labels is not None:
             labels = tuple(str(x) for x in labels)
-            if len(labels) != pair.shape[0]:
+            if len(labels) != win.shape[0]:
                 raise ValueError("labels length must equal the number of players")
-        pair.setflags(write=False)
         win.setflags(write=False)
-        object.__setattr__(self, "pair_counts", pair)
         object.__setattr__(self, "win_counts", win)
         object.__setattr__(self, "labels", labels)
 
     @property
     def n(self) -> int:
-        return int(self.pair_counts.shape[0])
+        return int(self.win_counts.shape[0])
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels is not None else str(i)
+
+    @cached_property
+    def pair_counts(self) -> np.ndarray:
+        """Games played per pair, ``win_counts + win_counts.T``, read-only and built once."""
+        pair = self.win_counts + self.win_counts.T
+        pair.setflags(write=False)
+        return pair
 
     @cached_property
     def decisive(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -149,11 +144,7 @@ class ComparisonCounts:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ComparisonCounts):
             return NotImplemented
-        return (
-            np.array_equal(self.pair_counts, other.pair_counts)
-            and np.array_equal(self.win_counts, other.win_counts)
-            and self.labels == other.labels
-        )
+        return np.array_equal(self.win_counts, other.win_counts) and self.labels == other.labels
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,7 +203,7 @@ def load_matches(records: Iterable[MatchRecord]) -> ComparisonCounts:
         raise DataError(f"record {row + 1}: winner equals loser ({names[2 * row]!r})")
     n = len(index)
     win = np.bincount(winners * n + losers, minlength=n * n).reshape(n, n)
-    return ComparisonCounts(win + win.T, win, labels=tuple(index))
+    return ComparisonCounts(win, labels=tuple(index))
 
 
 def _reach(adj: np.ndarray, start: int) -> np.ndarray:
@@ -290,11 +281,10 @@ def filter_players(
             raise DataError("no strongly connected component with at least 2 players")
     if keep.size == 0:
         raise DataError(f"filter {policy!r} removed every player")
-    sub = np.ix_(keep, keep)
     labels = None
     if counts.labels is not None:
         labels = tuple(counts.labels[i] for i in keep)
-    reduced = ComparisonCounts(counts.pair_counts[sub], counts.win_counts[sub], labels=labels)
+    reduced = ComparisonCounts(counts.win_counts[np.ix_(keep, keep)], labels=labels)
     return reduced, tuple(int(i) for i in keep)
 
 
@@ -349,8 +339,9 @@ def skew_statistic(counts: ComparisonCounts) -> np.ndarray:
 
     ``x[i, j] = 2*win[i, j]/pair[i, j] - 1`` for played pairs and 0 for
     unplayed ones. Only the pairs of ``counts.decisive`` are written: a
-    played pair without a net winner gives exactly 0. Each lower entry is
-    the negated upper one, so ``x + x.T`` is exactly zero.
+    played pair without a net winner gives exactly 0, and writing it would
+    put -0.0 below the diagonal. Each lower entry is the negated upper one,
+    so ``x + x.T`` is exactly zero.
     """
     lo, hi, _ = counts.decisive
     x = np.zeros((counts.n, counts.n))

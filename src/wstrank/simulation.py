@@ -159,13 +159,10 @@ def gen_counts(
     xi = rng.uniform(config.xi_low, config.xi_high, iu.size)
     games = rng.binomial(config.t_max, xi)
     wins_upper = rng.binomial(games, P_star.probs[iu, ju])
-    pair = np.zeros((n, n), dtype=np.int64)
     win = np.zeros((n, n), dtype=np.int64)
-    pair[iu, ju] = games
-    pair[ju, iu] = games
     win[iu, ju] = wins_upper
     win[ju, iu] = games - wins_upper
-    return ComparisonCounts(pair, win)
+    return ComparisonCounts(win)
 
 
 @dataclass(frozen=True)

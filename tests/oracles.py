@@ -93,7 +93,7 @@ def loop_load_matches(records) -> ComparisonCounts:
     win = np.zeros((n, n), dtype=np.int64)
     for w, l in games:
         win[w, l] += 1
-    return ComparisonCounts(win + win.T, win, labels=tuple(index))
+    return ComparisonCounts(win, labels=tuple(index))
 
 
 def loop_read_match_csv(path) -> list[MatchRecord]:
@@ -117,21 +117,21 @@ def loop_read_match_csv(path) -> list[MatchRecord]:
     return records
 
 
-def counts_error(pair, win) -> str | None:
-    """The message ``ComparisonCounts(pair, win)`` raises, checking each invariant in turn.
+def counts_error(win, labels=None) -> str | None:
+    """The message ``ComparisonCounts(win, labels=labels)`` raises, checking each invariant in turn.
 
-    ``None`` if every invariant holds. Shapes are assumed square and equal.
+    ``None`` if every invariant holds.
     """
-    pair = np.asarray(pair, dtype=np.int64)
     win = np.asarray(win, dtype=np.int64)
-    if (pair < 0).any() or (win < 0).any():
+    if win.ndim != 2 or win.shape[0] != win.shape[1] or win.shape[0] == 0:
+        return "win_counts must be a non-empty square matrix"
+    n = win.shape[0]
+    if any(win[i, j] < 0 for i in range(n) for j in range(n)):
         return "counts must be non-negative"
-    if np.diagonal(pair).any() or np.diagonal(win).any():
+    if any(win[i, i] != 0 for i in range(n)):
         return "diagonal entries must be zero"
-    if not np.array_equal(pair, pair.T):
-        return "pair_counts must be symmetric"
-    if not np.array_equal(win + win.T, pair):
-        return "win_counts[i,j] + win_counts[j,i] must equal pair_counts[i,j]"
+    if labels is not None and len(labels) != n:
+        return "labels length must equal the number of players"
     return None
 
 

@@ -26,7 +26,7 @@ from oracles import bt_oracle_beta
 
 def counts_from_wins(win):
     win = np.asarray(win)
-    return ComparisonCounts(win + win.T, win)
+    return ComparisonCounts(win)
 
 
 def random_instance(seed, n, scenario="uniform", **kwargs):
@@ -43,7 +43,7 @@ class TestBorda:
 
     def test_fully_symmetric_data_gives_tie_break_order(self):
         win = np.array([[0, 2, 2], [2, 0, 2], [2, 2, 0]])
-        counts = ComparisonCounts(win + win.T, win)
+        counts = ComparisonCounts(win)
         assert borda_rank(counts) == Ranking([1, 2, 3])
 
     def test_noiseless_dense_data_recovers_truth(self):
@@ -53,19 +53,18 @@ class TestBorda:
             for j in range(n):
                 if i > j:
                     win[i, j] = 4  # higher index always wins
-        counts = ComparisonCounts(win + win.T, win)
+        counts = ComparisonCounts(win)
         assert borda_rank(counts) == Ranking.identity(n)
 
     def test_invariant_to_duplicating_games(self):
         counts, _ = random_instance(5, 20)
-        tripled = ComparisonCounts(3 * counts.pair_counts, 3 * counts.win_counts)
+        tripled = ComparisonCounts(3 * counts.win_counts)
         assert borda_rank(counts) == borda_rank(tripled)
 
     def test_unplayed_players_sink_by_index(self):
         # player 1 (middle) has no games at all
-        pair = np.array([[0, 0, 4], [0, 0, 0], [4, 0, 0]])
         win = np.array([[0, 0, 4], [0, 0, 0], [0, 0, 0]])
-        counts = ComparisonCounts(pair, win)
+        counts = ComparisonCounts(win)
         ranking = borda_rank(counts)
         assert ranking.ranks[1] < ranking.ranks[0]
         assert ranking.ranks[1] < ranking.ranks[2]
@@ -103,14 +102,14 @@ class TestBradleyTerry:
                     w = int(rng.integers(3, 10))
                     win[i, j] = w
                     win[j, i] = 12 - w
-            counts = ComparisonCounts(win + win.T, win)
+            counts = ComparisonCounts(win)
             beta, _ = bt_fit(counts)
             oracle = bt_oracle_beta(counts.win_counts)
             assert np.abs(beta - oracle).max() < 1e-4
 
     def test_disconnected_graph_raises_with_hint(self):
         win = np.array([[0, 2, 0], [0, 0, 0], [0, 0, 0]])
-        counts = ComparisonCounts(win + win.T, win)
+        counts = ComparisonCounts(win)
         with pytest.raises(NotConnectedError, match="bt-connected"):
             bt_fit(counts)
 
@@ -133,11 +132,9 @@ class TestBradleyTerry:
 class TestUsvt:
     def test_perfectly_balanced_outcomes_give_tie_break_order(self):
         n = 4
-        pair = np.full((n, n), 2)
-        np.fill_diagonal(pair, 0)
         win = np.ones((n, n), dtype=int)
         np.fill_diagonal(win, 0)
-        counts = ComparisonCounts(pair, win)
+        counts = ComparisonCounts(win)
         estimate, ranking = usvt_rank(counts)
         off = ~np.eye(n, dtype=bool)
         assert np.allclose(estimate.probs[off], 0.5)
@@ -154,7 +151,7 @@ class TestUsvt:
     def test_no_observed_pairs_is_degenerate(self):
         zero = np.zeros((4, 4), dtype=int)
         with pytest.raises(DataError, match="degenerate"):
-            usvt_rank(ComparisonCounts(zero, zero))
+            usvt_rank(ComparisonCounts(zero))
 
     def test_equivariant_under_relabelling(self):
         # needs an instance where the threshold keeps some signal: with
@@ -164,9 +161,7 @@ class TestUsvt:
         row_sums = estimate.probs.sum(axis=1)
         assert len(np.unique(row_sums)) == 100
         sigma = np.random.default_rng(1).permutation(100)
-        shuffled = ComparisonCounts(
-            counts.pair_counts[np.ix_(sigma, sigma)], counts.win_counts[np.ix_(sigma, sigma)]
-        )
+        shuffled = ComparisonCounts(counts.win_counts[np.ix_(sigma, sigma)])
         _, moved = usvt_rank(shuffled)
         assert np.array_equal(moved.ranks, base.ranks[sigma])
 

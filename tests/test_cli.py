@@ -496,6 +496,16 @@ class TestCompare:
         assert lines[0].split() == ["a", "b", "a_wins", "b_wins"]
         assert lines[1].split() == ["A", "B", "3", "1"]
 
+    def test_h2h_row_of_a_hash_label_is_not_read_as_a_field(self, tmp_path, capsys):
+        path = tmp_path / "hash.csv"
+        write_matches(path, [("# x=1", "A"), ("A", "# x=1"), ("# x=1", "A")])
+        argv = ["compare", "--input", str(path), "--methods", "counting,bt", "--format", "csv"]
+        assert main([*argv, "--h2h", "# x=1,A"]) == 0
+        fields, _, rows = _read_back(capsys.readouterr().out, "csv")
+        assert rows == [{"a": "# x=1", "b": "A", "a_wins": "2", "b_wins": "1"}]
+        names = ["first", "second", "n", "kendall_tau", "kendall_corr", "spearman_rho"]
+        assert list(fields) == names
+
     def test_h2h_unknown_player(self, small_matches, capsys):
         code = main(
             [
@@ -513,7 +523,10 @@ class TestCompare:
     def test_requires_a_mode(self, capsys):
         assert main(["compare"]) == 2
 
-    @pytest.mark.parametrize("flag", [["--methods", "bogus,x"], ["--filter", "bt-connected"]])
+    @pytest.mark.parametrize(
+        "flag",
+        [["--methods", "bogus,x"], ["--filter", "bt-connected"], ["--k", "5"], ["--k", "99"]],
+    )
     def test_input_mode_flags_rejected_with_rankings(self, tmp_path, small_matches, capsys, flag):
         path = tmp_path / "a.json"
         rank = ["rank", "--input", str(small_matches), "--method", "counting", "--format", "json"]

@@ -64,7 +64,7 @@ def game_counts(draw):
                 games = draw(st.integers(min_value=1, max_value=9))
                 win[i, j] = draw(st.integers(min_value=0, max_value=games))
                 win[j, i] = games - win[i, j]
-    return ComparisonCounts(win + win.T, win)
+    return ComparisonCounts(win)
 
 
 @st.composite
@@ -203,68 +203,75 @@ class TestLoadMatches:
 
 @st.composite
 def broken_counts(draw):
-    """Consistent counts on 2-5 players with one or more invariants then broken.
+    """Win counts and labels on 2-5 players with one or more invariants then broken.
 
-    Each break is a negative entry, a non-zero diagonal entry, an asymmetric
-    pair count or a win count out of step with its (symmetric) pair count,
-    made in ``pair_counts`` or ``win_counts`` at a random cell.
+    Each break is a negative entry or a non-zero diagonal entry at a random
+    cell, a non-square shape, or labels of the wrong length.
     """
     n = draw(st.integers(min_value=2, max_value=5))
     cells = st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n)
     win = np.array(draw(cells)).reshape(n, n)
     np.fill_diagonal(win, 0)
-    pair = win + win.T
-    kinds = ["negative", "diagonal", "asymmetric", "inconsistent"]
-    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
-        i, j = draw(st.permutations(range(n)))[:2]
-        target = draw(st.sampled_from([pair, win]))
-        step = draw(st.integers(min_value=1, max_value=3))
-        if kind == "negative":
-            target[draw(st.sampled_from([(i, j), (i, i)]))] = -step
-        elif kind == "diagonal":
-            target[i, i] = step
-        elif kind == "asymmetric":
-            pair[i, j] += step
-        else:
-            pair[i, j] += step
-            pair[j, i] += step
-    return pair, win
+    labels = draw(st.sampled_from([None, tuple("ABCDE"[:n])]))
+    kinds = st.sampled_from(["negative", "diagonal", "non-square", "labels"])
+    kinds = draw(st.sets(kinds, min_size=1))
+    i, j = draw(st.permutations(range(n)))[:2]
+    step = draw(st.integers(min_value=1, max_value=3))
+    if "negative" in kinds:
+        win[draw(st.sampled_from([(i, j), (i, i)]))] = -step
+    if "diagonal" in kinds:
+        win[j, j] = step
+    if "non-square" in kinds:
+        win = draw(st.sampled_from([win[:, 1:], win[1:], win.ravel()]))
+    if "labels" in kinds:
+        labels = tuple("ABCDEF"[: draw(st.sampled_from([n - 1, n + 1]))])
+    return win, labels
 
 
 class TestCountsType:
     @given(broken_counts())
-    @example((np.array([[0, -1], [-1, 0]]), np.array([[1, 0], [0, 0]])))  # negative and diagonal
-    @example((np.array([[1, 2], [1, 0]]), np.array([[0, 1], [1, 0]])))  # diagonal and asymmetric
-    @example((np.array([[0, 2], [3, 0]]), np.array([[0, 1], [1, 0]])))  # asymmetric, inconsistent
+    @example((np.array([[1, -1], [0, 0]]), None))  # negative and diagonal
+    @example((np.array([[0, -1, 0], [1, 0, 0]]), None))  # non-square and negative
+    @example((np.array([[1, 0], [0, 0]]), ("A",)))  # diagonal and labels
     @settings(max_examples=300, deadline=None)
-    def test_message_matches_check_sequence(self, matrices):
-        pair, win = matrices
-        expected = counts_error(pair, win)
-        if expected is None:  # the breaks cancelled out
-            ComparisonCounts(pair, win)
-        else:
-            with pytest.raises(ValueError) as info:
-                ComparisonCounts(pair, win)
-            assert str(info.value) == expected
+    def test_message_matches_check_sequence(self, case):
+        win, labels = case
+        expected = counts_error(win, labels)
+        assert expected is not None
+        with pytest.raises(ValueError) as info:
+            ComparisonCounts(win, labels=labels)
+        assert str(info.value) == expected
 
-    def test_rejects_asymmetric_pairs(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            ComparisonCounts([[0, 2], [1, 0]], [[0, 1], [1, 0]])
+    def test_two_matrix_call_is_a_type_error(self):
+        win = np.array([[0, 1], [2, 0]])
+        with pytest.raises(TypeError):
+            ComparisonCounts(win + win.T, win)
 
-    def test_rejects_inconsistent_wins(self):
-        with pytest.raises(ValueError, match="must equal"):
-            ComparisonCounts([[0, 3], [3, 0]], [[0, 1], [1, 0]])
+    @given(game_counts())
+    @settings(max_examples=50, deadline=None)
+    def test_pair_counts_are_derived_once(self, counts):
+        win = counts.win_counts
+        assert np.array_equal(counts.pair_counts, win + win.T)
+        assert counts.pair_counts.dtype == np.int64
+        assert counts.pair_counts is counts.pair_counts
+
+    def test_equality_is_wins_and_labels(self):
+        win = np.array([[0, 1], [2, 0]])
+        assert ComparisonCounts(win) == ComparisonCounts(win.tolist())
+        assert ComparisonCounts(win) != ComparisonCounts(win.T)
+        assert ComparisonCounts(win, labels=("A", "B")) != ComparisonCounts(win)
 
     def test_rejects_negative_and_diagonal(self):
         with pytest.raises(ValueError, match="non-negative"):
-            ComparisonCounts([[0, -1], [-1, 0]], [[0, 0], [-1, 0]])
+            ComparisonCounts([[0, 0], [-1, 0]])
         with pytest.raises(ValueError, match="diagonal"):
-            ComparisonCounts([[1, 0], [0, 0]], [[1, 0], [0, 0]])
+            ComparisonCounts([[1, 0], [0, 0]])
 
     def test_arrays_are_read_only(self):
         counts = load_matches(records(("A", "B")))
-        with pytest.raises(ValueError):
-            counts.win_counts[0, 1] = 5
+        for matrix in (counts.win_counts, counts.pair_counts):
+            with pytest.raises(ValueError):
+                matrix[0, 1] = 5
 
 
 class TestRanking:
@@ -289,14 +296,14 @@ class TestFilterPlayers:
     def test_no_wins_removes_winless_player(self):
         # player 2 never wins
         win = np.array([[0, 2, 1], [1, 0, 2], [0, 0, 0]])
-        counts = ComparisonCounts(win + win.T, win)
+        counts = ComparisonCounts(win)
         reduced, mapping = filter_players(counts, "no-wins")
         assert reduced.n == 2
         assert mapping == (0, 1)
 
     def test_cycle_is_fixed_point_for_both_policies(self):
         win = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-        counts = ComparisonCounts(win + win.T, win)
+        counts = ComparisonCounts(win)
         for policy in ("no-wins", "bt-connected"):
             reduced, mapping = filter_players(counts, policy)
             assert reduced == counts
@@ -326,7 +333,7 @@ class TestFilterPlayers:
     @given(st.one_of(win_digraphs(), twin_cycles()))
     @settings(max_examples=200, deadline=None)
     def test_bt_connected_matches_reachability_oracle(self, win):
-        counts = ComparisonCounts(win + win.T, win)
+        counts = ComparisonCounts(win)
         expected = oracle_largest_component(win)
         if len(expected) < 2:
             with pytest.raises(DataError, match="strongly connected"):
@@ -336,7 +343,7 @@ class TestFilterPlayers:
 
     def test_all_removed_is_an_error(self):
         zero = np.zeros((3, 3), dtype=int)
-        counts = ComparisonCounts(zero, zero)
+        counts = ComparisonCounts(zero)
         with pytest.raises(DataError):
             filter_players(counts, "no-wins")
 
@@ -355,7 +362,7 @@ def counts_from_edges(n, edges):
     win = np.zeros((n, n), dtype=int)
     for a, b in edges:
         win[a, b] += 1
-    return ComparisonCounts(win + win.T, win)
+    return ComparisonCounts(win)
 
 
 class TestStrongComponents:
@@ -384,7 +391,7 @@ class TestStrongComponents:
     @settings(max_examples=200, deadline=None)
     def test_bt_fit_refuses_exactly_the_unconnected(self, win):
         try:
-            bt_fit(ComparisonCounts(win + win.T, win))
+            bt_fit(ComparisonCounts(win))
             refused = False
         except NotConnectedError:
             refused = True
@@ -442,14 +449,14 @@ class TestCheckWst:
 
 class TestSkewStatistic:
     def test_example_values(self):
-        counts = ComparisonCounts([[0, 5], [5, 0]], [[0, 3], [2, 0]])
+        counts = ComparisonCounts([[0, 3], [2, 0]])
         x = skew_statistic(counts)
         assert x[0, 1] == pytest.approx(0.2)
         assert x[1, 0] == pytest.approx(-0.2)
 
     def test_unplayed_pair_is_zero(self):
         zero = np.zeros((2, 2), dtype=int)
-        x = skew_statistic(ComparisonCounts(zero, zero))
+        x = skew_statistic(ComparisonCounts(zero))
         assert (x == 0).all()
 
     def test_exactly_skew_symmetric_and_bounded(self):
