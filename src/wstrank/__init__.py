@@ -18,6 +18,7 @@ from .baselines import (
 from .data import (
     ComparisonCounts,
     MatchRecord,
+    MatchRecords,
     ProbabilityMatrix,
     Ranking,
     WstReport,
@@ -77,6 +78,7 @@ __all__ = [
     "MasterOptions",
     "MasterResult",
     "MatchRecord",
+    "MatchRecords",
     "METHODS",
     "MethodStats",
     "NotConnectedError",

@@ -8,10 +8,12 @@ concurrently.
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
-from typing import Iterable, NamedTuple
+from itertools import chain, count, repeat
+from operator import eq
+from typing import Iterable, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -28,6 +30,52 @@ class MatchRecord(NamedTuple):
 
     winner: str
     loser: str
+
+
+class MatchRecords(Sequence[MatchRecord]):
+    """A read-only sequence of :class:`MatchRecord` kept as one flat tuple of names.
+
+    ``names`` is ``(w1, l1, w2, l2, ...)``; record ``i`` is built from
+    ``names[2*i]`` and ``names[2*i + 1]`` only when it is indexed or
+    iterated. Length, indexing (negative indices and slices, which give a
+    list) and iteration behave as on a list of records, and the sequence
+    equals a ``list`` of the same records. CPython's cyclic garbage
+    collector tracks every tuple subclass instance, ``MatchRecord``
+    included, but no string: a list of records holds one tracked object
+    per game, this sequence holds two in all.
+    """
+
+    __slots__ = ("names",)
+
+    def __init__(self, names: Iterable[str]) -> None:
+        names = tuple(names)
+        if len(names) % 2:
+            raise ValueError("names must hold a winner and a loser per record")
+        self.names = names
+
+    def __len__(self) -> int:
+        return len(self.names) // 2
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = 2 * range(len(self))[index]
+        return MatchRecord(self.names[i], self.names[i + 1])
+
+    def __iter__(self):
+        names = iter(self.names)
+        # tuple.__new__ is MatchRecord._make without its per-call Python frame
+        return map(tuple.__new__, repeat(MatchRecord), zip(names, names))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, MatchRecords):
+            return self.names == other.names
+        if isinstance(other, list):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,8 +235,14 @@ def load_matches(records: Iterable[MatchRecord]) -> ComparisonCounts:
     so a malformed record can be reported with its position in the sequence.
     Validation is vectorised over all records, and the earliest bad record
     is reported: an empty identifier before a winner equal to the loser.
+    A :class:`MatchRecords` from :func:`read_match_csv` is coded straight
+    from its flat ``names``, so no record object is built; any other
+    iterable of records is flattened first.
     """
-    names = list(chain.from_iterable(records))  # w1, l1, w2, l2, ...
+    if isinstance(records, MatchRecords):
+        names = records.names
+    else:
+        names = list(chain.from_iterable(records))  # w1, l1, w2, l2, ...
     if not names:
         raise DataError("no match records given")
     index = {name: i for i, name in enumerate(dict.fromkeys(names))}
@@ -350,31 +404,35 @@ def skew_statistic(counts: ComparisonCounts) -> np.ndarray:
     return x
 
 
-def read_match_csv(path) -> list[MatchRecord]:
+def read_match_csv(path) -> MatchRecords:
     """Read a ``winner,loser`` match file (UTF-8, one game per row).
 
     A leading UTF-8 byte-order mark, as some spreadsheet exports write, is
     skipped, and so are blank lines. Identifiers are not checked here; see
-    :func:`load_matches`. The records are built straight from the csv
-    reader's rows, with no Python code per row, and their field counts are
-    checked all at once. Only if that finds a bad row, or reading raises,
-    is the file read again row by row, so that the error names the first
-    problem the row-by-row read meets: a bad row by the physical line it
-    ends on (which differs from the row count once a quoted field spans
-    lines), or, once the decoder reaches it, the line and file offset of
-    the first byte that is not valid UTF-8.
+    :func:`load_matches`. The csv reader's rows are streamed, with no
+    Python code per row, into one flat list of names, which the returned
+    :class:`MatchRecords` wraps: no object is built or kept per game, so a
+    large file gives the garbage collector nothing to scan, and each row's
+    list is freed once its names are copied. The same pass checks every
+    field count: after the k-th row the list must hold 2k names. Only if a
+    row fails that, or reading raises, is the file read again row by row,
+    so that the error names the first problem the row-by-row read meets: a
+    bad row by the physical line it ends on (which differs from the row
+    count once a quoted field spans lines), or, once the decoder reaches
+    it, the line and file offset of the first byte that is not valid UTF-8.
     """
+    names: list[str] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             _check_header(path, next(reader, None))
-            # tuple.__new__ is MatchRecord._make without its per-call Python frame
-            records = list(map(tuple.__new__, repeat(MatchRecord), filter(None, reader)))
+            # names.__iadd__ extends the list and returns it
+            rows_ok = all(map(eq, map(len, map(names.__iadd__, filter(None, reader))), count(2, 2)))
         except (csv.Error, UnicodeDecodeError):
-            records = None
-    if records is None or set(map(len, records)) - {2}:
-        records = _read_match_rows(path)
-    return records
+            rows_ok = False
+    if not rows_ok:
+        _raise_first_row_error(path)
+    return MatchRecords(names)
 
 
 def _check_header(path, header: list[str] | None) -> None:
@@ -384,23 +442,24 @@ def _check_header(path, header: list[str] | None) -> None:
         raise DataError(f"{path}: expected header 'winner,loser', got {header!r}")
 
 
-def _read_match_rows(path) -> list[MatchRecord]:
-    """:func:`read_match_csv` one row at a time, stopping at the first bad row."""
+def _raise_first_row_error(path) -> NoReturn:
+    """Read ``path`` one row at a time and raise the DataError for its first bad row.
+
+    Called only once :func:`read_match_csv` has met a problem, so a file
+    that reads cleanly here is an internal error.
+    """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             _check_header(path, next(reader, None))
-            records = []
             for row in reader:
-                if len(row) == 2:
-                    records.append(MatchRecord(*row))
-                elif row:
+                if row and len(row) != 2:
                     raise DataError(f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}")
         except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
             raise DataError(f"{path}:{reader.line_num}: {exc}") from None
         except UnicodeDecodeError:
             raise _utf8_error(path) from None
-    return records
+    raise AssertionError(f"{path}: the row-by-row re-read found no bad row")
 
 
 def _utf8_error(path) -> DataError:

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 from collections import Counter
 
@@ -13,6 +14,7 @@ from wstrank import (
     ConvergenceError,
     DataError,
     MatchRecord,
+    MatchRecords,
     NotConnectedError,
     ProbabilityMatrix,
     Ranking,
@@ -25,6 +27,7 @@ from wstrank import (
     load_matches,
     read_match_csv,
     skew_statistic,
+    synthetic_matches,
     write_match_csv,
 )
 from wstrank.data import largest_strong_component, strong_component
@@ -583,7 +586,7 @@ class TestSerialization:
         path.write_bytes(text.encode("utf-8"))
         outcome = read_outcome(read_match_csv, path)
         assert outcome == read_outcome(loop_read_match_csv, path)
-        if isinstance(outcome, list):
+        if not isinstance(outcome, str):
             assert all(type(rec) is MatchRecord for rec in outcome)
 
     @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
@@ -616,3 +619,46 @@ class TestSerialization:
         path.write_text("winner,loser\nA,B\n" + "x" * 131073 + ",B\n")
         with pytest.raises(DataError, match=r"m\.csv:3: field larger than field limit"):
             read_match_csv(path)
+
+
+class TestMatchRecords:
+    def test_read_keeps_no_tracked_object_per_game(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_match_csv(path, synthetic_matches(300, 0.2, seed=3))  # 27,298 games
+        read_match_csv(path)  # warm-up
+        gc.collect()
+        before = len(gc.get_objects())
+        recs = read_match_csv(path)
+        assert len(gc.get_objects()) - before < 1000
+        assert len(recs) == 27298
+
+    @given(match_records().flatmap(lambda recs: st.tuples(st.just(recs), st.slices(len(recs)))))
+    @example((records(("A", "B"), ("C", "C"), ("", "D")), slice(None, None, -2)))
+    @settings(max_examples=200, deadline=None)
+    def test_sequence_read_back_is_the_loop_list(self, tmp_path_factory, case):
+        # the drawn records include empty identifiers and self-games
+        recs, part = case
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        write_match_csv(path, recs)
+        seq = read_match_csv(path)
+        expected = loop_read_match_csv(path)
+        assert isinstance(seq, MatchRecords)
+        assert len(seq) == len(expected) == len(recs)
+        assert list(seq) == expected
+        assert seq == expected and expected == seq
+        assert [seq[i] for i in range(len(seq))] == expected
+        assert [seq[-i] for i in range(1, len(seq) + 1)] == [expected[-i] for i in range(1, len(seq) + 1)]
+        assert seq[part] == expected[part]
+        with pytest.raises(IndexError):
+            seq[len(seq)]
+        assert load_outcome(load_matches, seq) == load_outcome(load_matches, list(seq))
+
+    def test_equality(self):
+        seq = MatchRecords(["A", "B", "B", "C"])
+        assert seq == records(("A", "B"), ("B", "C")) == seq
+        assert seq == MatchRecords(["A", "B", "B", "C"])
+        assert seq != records(("A", "B"))
+        assert seq != records(("A", "B"), ("C", "B"))
+        assert seq != ("A", "B", "B", "C")
+        with pytest.raises(ValueError, match="a winner and a loser"):
+            MatchRecords(["A", "B", "C"])
