@@ -11,7 +11,6 @@ simulation-study harness. A CLI binds everything into batch workflows; see
 from .baselines import (
     borda_rank,
     bt_fit,
-    bt_log_likelihood,
     usvt_probabilities,
     usvt_rank,
 )
@@ -46,7 +45,6 @@ from .maxscore import (
     surrogate_init,
 )
 from .metrics import (
-    QSequence,
     error_rate,
     kendall_tau,
     modified_tau,
@@ -84,7 +82,6 @@ __all__ = [
     "NotConnectedError",
     "NumericError",
     "ProbabilityMatrix",
-    "QSequence",
     "Ranking",
     "SCENARIOS",
     "SimConfig",
@@ -92,7 +89,6 @@ __all__ = [
     "WstReport",
     "borda_rank",
     "bt_fit",
-    "bt_log_likelihood",
     "certify",
     "check_wst",
     "error_rate",

@@ -40,15 +40,6 @@ def borda_rank(counts: ComparisonCounts) -> Ranking:
     return Ranking.from_scores(borda_scores(counts))
 
 
-def bt_log_likelihood(beta, counts: ComparisonCounts) -> float:
-    """Bradley-Terry log-likelihood sum of y_ij * log sigmoid(beta_i - beta_j)."""
-    b = np.asarray(beta, dtype=float)
-    diff = b[:, None] - b[None, :]
-    # log sigmoid computed stably as -log1p(exp(-|d|)) + min(d, 0)
-    log_sig = np.minimum(diff, 0.0) - np.log1p(np.exp(-np.abs(diff)))
-    return float((counts.win_counts * log_sig).sum())
-
-
 def bt_fit(counts: ComparisonCounts) -> tuple[np.ndarray, Ranking]:
     """Maximum-likelihood Bradley-Terry scores, constrained to sum to zero.
 

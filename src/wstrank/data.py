@@ -248,11 +248,13 @@ def load_matches(records: Iterable[MatchRecord]) -> ComparisonCounts:
     index = {name: i for i, name in enumerate(dict.fromkeys(names))}
     codes = np.fromiter(map(index.__getitem__, names), np.int64, len(names)).reshape(-1, 2)
     winners, losers = codes.T
-    empty = np.isin(codes, [i for name, i in index.items() if not name]).any(axis=1)
-    bad = empty | (winners == losers)
+    bad = winners == losers
+    blank = index.get("")  # the only identifier that can be empty
+    if blank is not None:
+        bad |= (codes == blank).any(axis=1)
     if bad.any():
         row = int(bad.argmax())
-        if empty[row]:
+        if "" in names[2 * row : 2 * row + 2]:
             raise DataError(f"record {row + 1}: empty player identifier")
         raise DataError(f"record {row + 1}: winner equals loser ({names[2 * row]!r})")
     n = len(index)

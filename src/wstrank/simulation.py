@@ -170,6 +170,8 @@ class MethodStats:
     """Aggregates for one method across replicates.
 
     Standard errors are sample standard deviation / sqrt(replicates used).
+    The ``paper`` fields are the ``pairs`` fields divided by 4 (see
+    :func:`error_rate`), which is exact in floating point.
     ``cert_rate`` is the fraction of replicates where the returned ranking
     scored at least as well as the truth (master only, None otherwise).
     Replicates where the method raised a data or numeric error (e.g. a
@@ -241,24 +243,13 @@ def run_study(
         rows = [rep[method] for rep in per_replicate]
         kept = [r for r in rows if r is not None]
         failures = len(rows) - len(kept)
-        taus = np.array([r[0] for r in kept], dtype=float)
-        secs = float(np.mean([r[1] for r in kept])) if kept else float("nan")
-        if kept:
-            pairs = np.array([error_rate(int(t), config.n, "pairs") for t in taus])
-            paper = np.array([error_rate(int(t), config.n, "paper") for t in taus])
-            mean_pairs = float(pairs.mean())
-            mean_paper = float(paper.mean())
-            if len(kept) > 1:
-                se_pairs = float(pairs.std(ddof=1) / math.sqrt(len(kept)))
-                se_paper = float(paper.std(ddof=1) / math.sqrt(len(kept)))
-            else:
-                se_pairs = se_paper = float("nan")
-        else:
-            mean_pairs = mean_paper = se_pairs = se_paper = float("nan")
+        secs = float(np.mean([r[1] for r in kept])) if kept else math.nan
+        pairs = np.array([error_rate(r[0], config.n, "pairs") for r in kept])
+        mean_pairs = float(pairs.mean()) if kept else math.nan
+        se_pairs = float(pairs.std(ddof=1) / math.sqrt(len(kept))) if len(kept) > 1 else math.nan
         cert_rate = None
         if method == "master":
-            certs = [r[2] for r in kept]
-            cert_rate = float(np.mean([1.0 if c else 0.0 for c in certs])) if certs else float("nan")
+            cert_rate = float(np.mean([bool(r[2]) for r in kept])) if kept else math.nan
         stats.append(
             MethodStats(
                 method=method,
@@ -266,8 +257,8 @@ def run_study(
                 failures=failures,
                 mean_error_pairs=mean_pairs,
                 se_pairs=se_pairs,
-                mean_error_paper=mean_paper,
-                se_paper=se_paper,
+                mean_error_paper=mean_pairs / 4,
+                se_paper=se_pairs / 4,
                 cert_rate=cert_rate,
                 secs=secs,
             )

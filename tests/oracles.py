@@ -203,6 +203,15 @@ def sst_holds(probs) -> bool:
     return True
 
 
+def bt_log_likelihood(beta, counts: ComparisonCounts) -> float:
+    """Bradley-Terry log-likelihood sum of y_ij * log sigmoid(beta_i - beta_j), on dense n x n arrays."""
+    b = np.asarray(beta, dtype=float)
+    diff = b[:, None] - b[None, :]
+    # log sigmoid computed stably as -log1p(exp(-|d|)) + min(d, 0)
+    log_sig = np.minimum(diff, 0.0) - np.log1p(np.exp(-np.abs(diff)))
+    return float((counts.win_counts * log_sig).sum())
+
+
 def bt_oracle_beta(win) -> np.ndarray:
     """Bradley-Terry MLE by generic derivative-free minimisation.
 

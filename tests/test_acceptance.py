@@ -220,7 +220,8 @@ def _q_approximation_sups(constant_over_s):
         m = len(q)
         s = np.arange(n, m + 1, dtype=float)
         approx = constant_over_s(s, n)
-        rel = np.abs(q.prefix_means()[n - 1 :] / approx - 1.0)
+        prefix_means = np.cumsum(q) / np.arange(1, m + 1)
+        rel = np.abs(prefix_means[n - 1 :] / approx - 1.0)
         sups.append(float(rel.max()))
     return float(np.mean(sups))
 

@@ -10,7 +10,6 @@ from wstrank import (
     SimConfig,
     borda_rank,
     bt_fit,
-    bt_log_likelihood,
     error_rate,
     gen_counts,
     gen_probabilities,
@@ -21,7 +20,7 @@ from wstrank import (
 from wstrank import baselines
 from wstrank.simulation import replicate_rng
 
-from oracles import bt_oracle_beta
+from oracles import bt_log_likelihood, bt_oracle_beta
 
 
 def counts_from_wins(win):
