@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit
 
 from .data import ComparisonCounts, Ranking
 from .errors import NumericError
@@ -104,20 +103,39 @@ def surrogate_init(
     The sums run over the m pairs of ``counts.decisive`` (z_ij != 0) only;
     the others add nothing. Each line-search trial and each gradient
     therefore costs O(m + n), not O(n^2), and the gradient reuses the
-    sigmoids computed for the accepted trial.
+    sigmoids computed for the accepted trial. A trial's sigmoids are
+    1 / (1 + exp(beta_j - beta_i)), computed in place in one array; an exp
+    that overflows gives exactly 0.0. The gradient adds each player's pair
+    terms as one segment sum (``np.add.reduceat``): over the pairs in
+    ``lo`` order, which is already sorted, for the players as i, and over
+    the pairs sorted once by ``hi`` for the players as j. So its sums run in
+    segment order, not in the order of a ``bincount`` over the pair list.
     """
     opts = opts or MasterOptions()
     n = counts.n
     lo, hi, z = counts.decisive
     zw = z.astype(float)
+    lo_starts = np.flatnonzero(np.diff(lo, prepend=-1))  # lo is sorted
+    hi_order = np.argsort(hi, kind="stable")
+    hi_starts = np.flatnonzero(np.diff(hi[hi_order], prepend=-1))
+    lo_own, hi_own = lo[lo_starts], hi[hi_order[hi_starts]]
 
     def objective(b: np.ndarray) -> tuple[float, np.ndarray]:
-        sig = expit(np.take(b, lo) - np.take(b, hi))
+        sig = np.take(b, lo)
+        sig -= np.take(b, hi)
+        np.negative(sig, out=sig)
+        with np.errstate(over="ignore"):  # exp -> inf gives sigmoid 0.0 exactly
+            np.exp(sig, out=sig)
+        sig += 1.0
+        np.reciprocal(sig, out=sig)
         return float(zw @ sig - SURROGATE_RIDGE * (b @ b)), sig
 
     def gradient(b: np.ndarray, sig: np.ndarray) -> np.ndarray:
         g = zw * (sig * (1.0 - sig))
-        grad = np.bincount(lo, g, n) - np.bincount(hi, g, n) - 2.0 * SURROGATE_RIDGE * b
+        grad = -2.0 * SURROGATE_RIDGE * b
+        if g.size:
+            grad[lo_own] += np.add.reduceat(g, lo_starts)
+            grad[hi_own] -= np.add.reduceat(g[hi_order], hi_starts)
         if not np.all(np.isfinite(grad)):
             raise NumericError("non-finite gradient in surrogate ascent")
         return grad
