@@ -17,10 +17,10 @@ from .data import (
     skew_statistic,
     strong_component,
 )
-from .errors import ConvergenceError, DataError, NotConnectedError
+from .errors import ConvergenceError, DataError, NotConnectedError, NumericError
 
 BT_TOL = 1e-8  # bt_fit stops once the log-likelihood gradient norm is this small
-BT_MAX_ITERS = 10000
+BT_MAX_ITERS = 100  # Newton steps
 USVT_ETA = 0.01  # USVT's threshold margin above the noise level 2 * sqrt(n * p_hat)
 
 
@@ -43,9 +43,20 @@ def borda_rank(counts: ComparisonCounts) -> Ranking:
 def bt_fit(counts: ComparisonCounts) -> tuple[np.ndarray, Ranking]:
     """Maximum-likelihood Bradley-Terry scores, constrained to sum to zero.
 
-    Uses the minorization-maximization fixed point on the strength scale,
-    stopping once the log-likelihood gradient norm drops to ``BT_TOL``, and
-    raising ``ConvergenceError`` after ``BT_MAX_ITERS`` iterations.
+    Damped Newton's method from beta = 0 over the pairs of
+    ``counts.played``. With s = sigmoid(beta_lo - beta_hi) per pair, the
+    log-likelihood gradient is wins minus the sum of games * s, and the
+    negated Hessian is the Laplacian weighted by games * s * (1 - s). The
+    Laplacian is singular along the all-ones vector, which the likelihood
+    ignores; adding 11^T / n makes it nonsingular and, as the gradient sums
+    to zero, leaves the step unchanged. ``np.linalg.solve`` finds the step,
+    and each trial is re-centred to sum zero. A halving line search accepts
+    the first trial that raises the log-likelihood or lowers the gradient
+    norm: near the optimum the log-likelihood can no longer resolve a step's
+    gain at float precision, but the gradient still can. The fit stops once
+    the gradient norm drops to ``BT_TOL``. It raises ``ConvergenceError``
+    after ``BT_MAX_ITERS`` Newton steps or when no trial is accepted, and
+    ``NumericError`` when the solve fails or gives a non-finite step.
     The MLE exists iff the win digraph is strongly connected, which two
     searches from player 0 check (see :func:`strong_component`); anything
     else raises before iterating.
@@ -56,22 +67,58 @@ def bt_fit(counts: ComparisonCounts) -> tuple[np.ndarray, Ranking]:
             "comparison graph is not strongly connected; "
             "apply filter_players(counts, 'bt-connected') first"
         )
-    wins = counts.win_counts.sum(axis=1).astype(float)
-    games = counts.pair_counts.astype(float)
-    strength = np.ones(n)
+    lo, hi, games, wins_lo = counts.played
+    games = games.astype(float)
+    wins_lo = wins_lo.astype(float)
+    losses_lo = games - wins_lo
+
+    def evaluate(b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
+        """Log-likelihood, gradient, Hessian weights and gradient norm at ``b``."""
+        d = b[hi] - b[lo]  # log(s) = -log1p(exp(d)) and log(1 - s) = d + log(s)
+        with np.errstate(over="ignore"):  # exp -> inf gives s = 0 and log-likelihood -inf
+            s = np.exp(d)
+        loglik = float(losses_lo @ d - games @ np.log1p(s))
+        s += 1.0
+        np.reciprocal(s, out=s)
+        residual = games * s
+        np.subtract(wins_lo, residual, out=residual)
+        grad = np.bincount(lo, residual, n) - np.bincount(hi, residual, n)
+        weight = 1.0 - s
+        weight *= s
+        weight *= games
+        return loglik, grad, weight, float(np.linalg.norm(grad))
+
+    beta = np.zeros(n)
+    loglik, grad, weight, grad_norm = evaluate(beta)
     for _ in range(BT_MAX_ITERS):
-        pairwise = strength[:, None] + strength[None, :]
-        grad = wins - (games * (strength[:, None] / pairwise)).sum(axis=1)
-        if float(np.linalg.norm(grad)) <= BT_TOL:
-            beta = np.log(strength)
-            beta -= beta.mean()
+        if grad_norm <= BT_TOL:
             return beta, Ranking.from_scores(beta)
-        strength = wins / (games / pairwise).sum(axis=1)
-        strength /= math.exp(float(np.mean(np.log(strength))))
-    beta = np.log(strength)
-    beta -= beta.mean()
+        hessian = np.full((n, n), 1.0 / n)
+        hessian[lo, hi] = hessian[hi, lo] = 1.0 / n - weight
+        hessian.ravel()[:: n + 1] += np.bincount(lo, weight, n) + np.bincount(hi, weight, n)
+        try:
+            step = np.linalg.solve(hessian, grad)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"Bradley-Terry Newton step: {exc}") from None
+        if not np.all(np.isfinite(step)):
+            raise NumericError("non-finite Bradley-Terry Newton step")
+        t = 1.0
+        for _ in range(60):
+            trial = beta + t * step
+            trial -= trial.mean()
+            trial_loglik, trial_grad, trial_weight, trial_norm = evaluate(trial)
+            if trial_loglik > loglik or trial_norm < grad_norm:
+                break
+            t *= 0.5
+        else:
+            raise ConvergenceError(
+                f"no Newton step lowers the gradient norm {grad_norm:.3g}", beta=beta
+            )
+        beta, loglik, grad, weight, grad_norm = (
+            trial, trial_loglik, trial_grad, trial_weight, trial_norm
+        )
     raise ConvergenceError(
-        f"gradient norm still above {BT_TOL} after {BT_MAX_ITERS} iterations",
+        f"gradient norm still above {BT_TOL} after {BT_MAX_ITERS} Newton steps",
         beta=beta,
     )
 
@@ -112,7 +159,7 @@ def usvt_rank(counts: ComparisonCounts) -> tuple[ProbabilityMatrix, Ranking]:
     n = counts.n
     if n < 2:
         raise ValueError("need at least 2 players")
-    p_hat = np.count_nonzero(counts.pair_counts) / (n * (n - 1))
+    p_hat = 2 * counts.played[0].size / (n * (n - 1))
     if p_hat == 0.0:
         raise DataError("no pair has been observed; the estimate is degenerate")
     estimate = usvt_probabilities(skew_statistic(counts), p_hat)

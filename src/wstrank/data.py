@@ -175,16 +175,32 @@ class ComparisonCounts:
         return pair
 
     @cached_property
+    def played(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The pairs that have played, as read-only arrays ``(lo, hi, games, wins_lo)``.
+
+        ``lo < hi`` index the pairs with ``games = pair[lo, hi] > 0``, in
+        row-major (``np.nonzero``) order, and ``wins_lo = win[lo, hi]``. The
+        arrays are int64 and C-contiguous. Built once per object.
+        """
+        flat = np.flatnonzero(np.triu(self.pair_counts > 0, 1))
+        lo, hi = np.divmod(flat, self.n)
+        pairs = (lo, hi, self.pair_counts.ravel()[flat], self.win_counts.ravel()[flat])
+        for a in pairs:
+            a.setflags(write=False)
+        return pairs
+
+    @cached_property
     def decisive(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The pairs with a net winner, as read-only arrays ``(lo, hi, z)``.
 
-        ``lo < hi`` index the pairs with ``z = win[lo, hi] - win[hi, lo] != 0``,
-        in row-major (``np.nonzero``) order; every other pair adds nothing to
-        the maximum-score objective or its surrogate. Built once per object.
+        The pairs of :attr:`played` with ``z = win[lo, hi] - win[hi, lo] != 0``,
+        in the same order; every other pair adds nothing to the maximum-score
+        objective or its surrogate. Built once per object.
         """
-        z = self.win_counts - self.win_counts.T
-        lo, hi = np.nonzero(np.triu(z, 1))
-        pairs = (lo, hi, z[lo, hi])
+        lo, hi, games, wins_lo = self.played
+        z = 2 * wins_lo - games
+        net = z != 0
+        pairs = (lo[net], hi[net], z[net])
         for a in pairs:
             a.setflags(write=False)
         return pairs

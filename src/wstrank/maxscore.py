@@ -104,8 +104,9 @@ def surrogate_init(
     the others add nothing. Each line-search trial and each gradient
     therefore costs O(m + n), not O(n^2), and the gradient reuses the
     sigmoids computed for the accepted trial. A trial's sigmoids are
-    1 / (1 + exp(beta_j - beta_i)), computed in place in one array; an exp
-    that overflows gives exactly 0.0. The gradient adds each player's pair
+    1 / (1 + exp(beta_j - beta_i)), computed in place in one array, with
+    beta_i repeated once per segment of the sorted ``lo``; an exp that
+    overflows gives exactly 0.0. The gradient adds each player's pair
     terms as one segment sum (``np.add.reduceat``): over the pairs in
     ``lo`` order, which is already sorted, for the players as i, and over
     the pairs sorted once by ``hi`` for the players as j. So its sums run in
@@ -116,14 +117,14 @@ def surrogate_init(
     lo, hi, z = counts.decisive
     zw = z.astype(float)
     lo_starts = np.flatnonzero(np.diff(lo, prepend=-1))  # lo is sorted
+    lo_lens = np.diff(lo_starts, append=lo.size)
     hi_order = np.argsort(hi, kind="stable")
     hi_starts = np.flatnonzero(np.diff(hi[hi_order], prepend=-1))
     lo_own, hi_own = lo[lo_starts], hi[hi_order[hi_starts]]
 
     def objective(b: np.ndarray) -> tuple[float, np.ndarray]:
-        sig = np.take(b, lo)
-        sig -= np.take(b, hi)
-        np.negative(sig, out=sig)
+        sig = np.take(b, hi)
+        sig -= np.repeat(b[lo_own], lo_lens)  # b[lo], one value per segment
         with np.errstate(over="ignore"):  # exp -> inf gives sigmoid 0.0 exactly
             np.exp(sig, out=sig)
         sig += 1.0
@@ -131,7 +132,9 @@ def surrogate_init(
         return float(zw @ sig - SURROGATE_RIDGE * (b @ b)), sig
 
     def gradient(b: np.ndarray, sig: np.ndarray) -> np.ndarray:
-        g = zw * (sig * (1.0 - sig))
+        g = 1.0 - sig
+        g *= sig
+        g *= zw
         grad = -2.0 * SURROGATE_RIDGE * b
         if g.size:
             grad[lo_own] += np.add.reduceat(g, lo_starts)
@@ -140,7 +143,7 @@ def surrogate_init(
             raise NumericError("non-finite gradient in surrogate ascent")
         return grad
 
-    mean_degree = np.count_nonzero(counts.pair_counts) / n
+    mean_degree = 2 * counts.played[0].size / n
     base_step = 0.5 / math.sqrt(max(mean_degree, 1.0))
 
     beta = np.zeros(n)

@@ -212,6 +212,30 @@ def bt_log_likelihood(beta, counts: ComparisonCounts) -> float:
     return float((counts.win_counts * log_sig).sum())
 
 
+def bt_mm_beta(win, tol: float = 1e-8, max_iters: int = 100000) -> np.ndarray:
+    """Bradley-Terry MLE by the minorization-maximization fixed point (Hunter 2004).
+
+    Works on the strength scale over dense n x n arrays, normalising the
+    strengths' geometric mean to one after each update, and stops once the
+    log-likelihood gradient norm is at most ``tol``. Returns the log-strengths
+    centred to sum zero. The win digraph must be strongly connected.
+    """
+    win = np.asarray(win, dtype=float)
+    n = win.shape[0]
+    wins = win.sum(axis=1)
+    games = win + win.T
+    strength = np.ones(n)
+    for _ in range(max_iters):
+        pairwise = strength[:, None] + strength[None, :]
+        grad = wins - (games * (strength[:, None] / pairwise)).sum(axis=1)
+        if float(np.linalg.norm(grad)) <= tol:
+            beta = np.log(strength)
+            return beta - beta.mean()
+        strength = wins / (games / pairwise).sum(axis=1)
+        strength /= math.exp(float(np.mean(np.log(strength))))
+    raise AssertionError(f"MM gradient norm still above {tol} after {max_iters} iterations")
+
+
 def bt_oracle_beta(win) -> np.ndarray:
     """Bradley-Terry MLE by generic derivative-free minimisation.
 

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
 
 from wstrank import (
     ComparisonCounts,
@@ -17,10 +20,11 @@ from wstrank import (
     usvt_probabilities,
     usvt_rank,
 )
-from wstrank import baselines
+from wstrank import NumericError, baselines
+from wstrank.cli import main
 from wstrank.simulation import replicate_rng
 
-from oracles import bt_log_likelihood, bt_oracle_beta
+from oracles import bt_log_likelihood, bt_mm_beta, bt_oracle_beta
 
 
 def counts_from_wins(win):
@@ -28,11 +32,49 @@ def counts_from_wins(win):
     return ComparisonCounts(win)
 
 
-def random_instance(seed, n, scenario="uniform", **kwargs):
+def random_instance(seed, n, scenario="uniform", replicate=0, **kwargs):
     cfg = SimConfig(scenario=scenario, n=n, seed=seed, **kwargs)
-    rng = replicate_rng(seed, 0)
+    rng = replicate_rng(seed, replicate)
     P, truth = gen_probabilities(cfg, rng)
     return gen_counts(P, cfg, rng), truth
+
+
+def dense_bt_gradient(beta, counts):
+    """Log-likelihood gradient of ``beta`` over every ordered pair of players."""
+    diff = beta[:, None] - beta[None, :]
+    return counts.win_counts.sum(axis=1) - (counts.pair_counts * expit(diff)).sum(axis=1)
+
+
+def singular_solve(a, b):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def nan_solve(a, b):
+    return np.full_like(b, np.nan)
+
+
+@st.composite
+def strongly_connected_counts(draw):
+    """Win counts on 2 to 9 players whose win digraph is strongly connected.
+
+    A random cycle of single wins makes the digraph strongly connected. A
+    dense instance then adds 0 to 12 games to every pair, a sparse one a
+    few games to a few pairs.
+    """
+    n = draw(st.integers(min_value=2, max_value=9))
+    cycle = draw(st.permutations(range(n)))
+    win = np.zeros((n, n), dtype=int)
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        win[a, b] += 1
+    player = st.integers(0, n - 1)
+    if draw(st.booleans()):
+        extra = [(i, j, draw(st.integers(0, 12))) for i in range(n) for j in range(n) if i != j]
+    else:
+        extra = draw(st.lists(st.tuples(player, player, st.integers(1, 12)), max_size=n))
+    for i, j, games in extra:
+        if i != j:
+            win[i, j] += games
+    return ComparisonCounts(win)
 
 
 class TestBorda:
@@ -81,11 +123,7 @@ class TestBradleyTerry:
         beta, _ = bt_fit(counts)
         assert abs(beta.sum()) < 1e-12
         # independent gradient evaluation at the returned point
-        from scipy.special import expit
-
-        diff = beta[:, None] - beta[None, :]
-        grad = counts.win_counts.sum(axis=1) - (counts.pair_counts * expit(diff)).sum(axis=1)
-        assert np.linalg.norm(grad) <= baselines.BT_TOL
+        assert np.linalg.norm(dense_bt_gradient(beta, counts)) <= baselines.BT_TOL
 
     def test_ascends_from_zero(self):
         counts, _ = random_instance(10, 20)
@@ -126,6 +164,48 @@ class TestBradleyTerry:
         b2, r2 = bt_fit(counts)
         assert np.array_equal(b1, b2)
         assert r1 == r2
+
+    @given(strongly_connected_counts())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_mm_oracle(self, counts):
+        beta, ranking = bt_fit(counts)
+        mm = bt_mm_beta(counts.win_counts)
+        assert np.abs(beta - mm).max() <= 1e-6
+        # Players the data treat alike tie exactly in the MLE; each solver
+        # then orders them by its own float rounding.
+        if np.diff(np.sort(mm)).min() > 1e-6:
+            assert ranking == Ranking.from_scores(mm)
+        assert np.linalg.norm(dense_bt_gradient(beta, counts)) <= baselines.BT_TOL
+
+    @pytest.mark.parametrize("replicate", [0, 3])
+    def test_converges_where_likelihood_halving_stalls(self, replicate):
+        # Near the optimum the log-likelihood (about -1.8e4, ulp about 4e-12)
+        # cannot resolve a Newton step's gain, so a line search on it alone
+        # stalls with the gradient norm above BT_TOL: on replicate 0 here,
+        # and on 3 with the log-likelihood summed in another order.
+        counts, _ = random_instance(20260810, 200, scenario="bt_latent", replicate=replicate)
+        beta, _ = bt_fit(counts)
+        assert np.linalg.norm(dense_bt_gradient(beta, counts)) <= baselines.BT_TOL
+
+    @pytest.mark.parametrize(
+        "solve, message", [(singular_solve, "Singular"), (nan_solve, "non-finite")]
+    )
+    def test_failed_newton_solve_is_numeric_error(self, monkeypatch, solve, message):
+        counts, _ = random_instance(11, 12)
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        with pytest.raises(NumericError, match=message) as exc_info:
+            bt_fit(counts)
+        assert not isinstance(exc_info.value, ConvergenceError)  # raised at once, not on budget
+
+    @pytest.mark.parametrize("solve", [singular_solve, nan_solve])
+    def test_failed_newton_solve_exits_4(self, monkeypatch, solve, tmp_path, capsys):
+        path = tmp_path / "matches.csv"
+        path.write_text("winner,loser\nA,B\nA,B\nB,A\n")
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        assert main(["rank", "--input", str(path), "--method", "bt"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestUsvt:

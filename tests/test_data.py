@@ -493,6 +493,42 @@ class TestDecisivePairs:
         assert counts.decisive is counts.decisive
 
 
+class TestPlayedPairs:
+    @given(game_counts())
+    @settings(max_examples=200, deadline=None)
+    def test_lists_played_pairs_in_row_major_order(self, counts):
+        lo, hi, games, wins_lo = counts.played
+        n, pair = counts.n, counts.pair_counts
+        expected = [(i, j) for i in range(n) for j in range(i + 1, n) if pair[i, j] > 0]
+        assert list(zip(lo.tolist(), hi.tolist())) == expected
+        assert games.tolist() == [int(pair[i, j]) for i, j in expected]
+        assert wins_lo.tolist() == [int(counts.win_counts[i, j]) for i, j in expected]
+        for a in counts.played:
+            assert a.dtype == np.int64
+            assert a.flags.c_contiguous
+            assert not a.flags.writeable
+        assert counts.played is counts.played
+
+    @given(game_counts())
+    @settings(max_examples=200, deadline=None)
+    def test_decisive_is_played_masked_by_net_wins(self, counts):
+        lo, hi, games, wins_lo = counts.played
+        z = wins_lo - (games - wins_lo)
+        net = z != 0
+        for got, want in zip(counts.decisive, (lo[net], hi[net], z[net])):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert got.flags.c_contiguous
+            assert not got.flags.writeable
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_no_games_gives_empty_lists(self, n):
+        counts = ComparisonCounts(np.zeros((n, n), dtype=int))
+        for a in (*counts.played, *counts.decisive):
+            assert a.shape == (0,)
+            assert a.dtype == np.int64
+
+
 # CSV's special characters, or any text UTF-8 can encode (NUL aside: Python
 # 3.10's csv reader refuses it)
 IDENTIFIERS = st.text(
