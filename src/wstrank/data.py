@@ -309,9 +309,7 @@ def largest_strong_component(counts: ComparisonCounts) -> np.ndarray:
     is the unique largest one. Only otherwise, as on a graph split into
     small components, does this fall back to the full transitive closure by
     float32 matrix products (exact up to 2**24 players), taking among
-    components of equal size the one holding the smallest index. Not
-    ``scipy.sparse.csgraph``: importing it adds about 10 MB of resident
-    memory to every process that ingests a match file.
+    components of equal size the one holding the smallest index.
     """
     n = counts.n
     component = strong_component(counts, int(np.count_nonzero(counts.pair_counts, axis=1).argmax()))
@@ -410,15 +408,16 @@ def skew_statistic(counts: ComparisonCounts) -> np.ndarray:
     """Standardized skew-symmetric outcome matrix.
 
     ``x[i, j] = 2*win[i, j]/pair[i, j] - 1`` for played pairs and 0 for
-    unplayed ones. Only the pairs of ``counts.decisive`` are written: a
-    played pair without a net winner gives exactly 0, and writing it would
+    unplayed ones. Only the pairs of ``counts.played`` with a net winner are
+    written: a played pair without one gives exactly 0, and writing it would
     put -0.0 below the diagonal. Each lower entry is the negated upper one,
     so ``x + x.T`` is exactly zero.
     """
-    lo, hi, _ = counts.decisive
+    lo, hi, games, wins_lo = counts.played
+    net = 2 * wins_lo != games
     x = np.zeros((counts.n, counts.n))
-    x[lo, hi] = 2.0 * counts.win_counts[lo, hi] / counts.pair_counts[lo, hi] - 1.0
-    x[hi, lo] = -x[lo, hi]
+    x[lo[net], hi[net]] = 2.0 * wins_lo[net] / games[net] - 1.0
+    x[hi[net], lo[net]] = -x[lo[net], hi[net]]
     return x
 
 

@@ -13,7 +13,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .baselines import borda_scores, bt_fit, usvt_rank
 from .data import ComparisonCounts, MatchRecord, ProbabilityMatrix, Ranking
@@ -139,7 +138,7 @@ def gen_probabilities(
         better = low + 0.1 * rng.uniform(0.0, 1.0, iu.size)
     else:
         latent = np.sort(rng.normal(0.0, config.bt_sd, n))
-        better = expit(latent[ju] - latent[iu])
+        better = 1.0 / (1.0 + np.exp(latent[iu] - latent[ju]))  # sorted, so exponent <= 0
     # rule out exact coin flips so the implied ranking is unique
     better = np.maximum(better, np.nextafter(0.5, 1.0))
     probs = np.full((n, n), 0.5)
@@ -291,7 +290,8 @@ def synthetic_matches(
     met = rng.random(iu.size) < pair_density
     iu, ju = iu[met], ju[met]
     games = rng.integers(1, t_max + 1, iu.size)
-    wins_i = rng.binomial(games, expit(latent[iu] - latent[ju]))
+    with np.errstate(over="ignore"):  # exp -> inf gives probability 0.0 exactly
+        wins_i = rng.binomial(games, 1.0 / (1.0 + np.exp(latent[ju] - latent[iu])))
     records: list[MatchRecord] = []
     for a, b, g, w in zip(iu, ju, games, wins_i):
         records.extend([MatchRecord(labels[a], labels[b])] * int(w))

@@ -11,6 +11,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.special import expit
 
 from wstrank.data import ComparisonCounts, MatchRecord, Ranking
 from wstrank.errors import DataError
@@ -201,6 +202,34 @@ def sst_holds(probs) -> bool:
                     if probs[i, k] < max(probs[i, j], probs[j, k]):
                         return False
     return True
+
+
+def expit_bt_latent_better(config, rng) -> np.ndarray:
+    """bt_latent's better-player probabilities ``P[j, i]``, i < j, built with scipy's ``expit``.
+
+    Draws what ``gen_probabilities`` draws for bt_latent, in the same order,
+    so ``rng`` ends in the same state.
+    """
+    latent = np.sort(rng.normal(0.0, config.bt_sd, config.n))
+    iu, ju = np.triu_indices(config.n, 1)
+    return np.maximum(expit(latent[ju] - latent[iu]), np.nextafter(0.5, 1.0))
+
+
+def expit_synthetic_matches(n_players, pair_density, t_max=5, score_sd=1.5, seed=0):
+    """``synthetic_matches`` with its win probabilities from scipy's ``expit``, one record at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 875)))
+    latent = rng.normal(0.0, score_sd, n_players)
+    iu, ju = np.triu_indices(n_players, 1)
+    met = rng.random(iu.size) < pair_density
+    iu, ju = iu[met], ju[met]
+    games = rng.integers(1, t_max + 1, iu.size)
+    wins_i = rng.binomial(games, expit(latent[iu] - latent[ju]))
+    records = []
+    for a, b, g, w in zip(iu, ju, games, wins_i):
+        winner, loser = f"P{a:04d}", f"P{b:04d}"
+        records += [MatchRecord(winner, loser) for _ in range(w)]
+        records += [MatchRecord(loser, winner) for _ in range(g - w)]
+    return records
 
 
 def bt_log_likelihood(beta, counts: ComparisonCounts) -> float:

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from wstrank import (
 from wstrank.cli import main
 from wstrank.simulation import replicate_rng
 
-from oracles import sst_holds
+from oracles import expit_bt_latent_better, expit_synthetic_matches, sst_holds
 
 
 class TestSimConfig:
@@ -138,6 +139,46 @@ def _probs_and_cfg(cfg, replicate):
     rng = replicate_rng(cfg.seed, replicate)
     P, _ = gen_probabilities(cfg, rng)
     return P, cfg, rng
+
+
+class TestNumpySigmoids:
+    """The generators' numpy sigmoids against scipy's ``expit``."""
+
+    @pytest.mark.parametrize("n", [10, 100, 200])
+    def test_bt_latent_within_two_ulp_of_expit(self, n):
+        # numpy's exp and libm's differ by up to 1 ulp; 1 + exp then rounds
+        # to sums at most 1 ulp apart, and the reciprocal, which lies in
+        # [0.5, 1], to results at most 2 ulp apart
+        cfg = SimConfig(scenario="bt_latent", n=n, seed=12)
+        iu, ju = np.triu_indices(n, 1)
+        for replicate in range(4):
+            P, _ = gen_probabilities(cfg, replicate_rng(12, replicate))
+            expected = expit_bt_latent_better(cfg, replicate_rng(12, replicate))
+            np.testing.assert_array_max_ulp(P.probs[ju, iu], expected, maxulp=2)
+
+    def test_bt_latent_counts_equal_those_drawn_from_expit(self):
+        cfg = SimConfig(scenario="bt_latent", n=100, seed=13)
+        iu, ju = np.triu_indices(cfg.n, 1)
+        for replicate in range(4):
+            rng, ref_rng = replicate_rng(13, replicate), replicate_rng(13, replicate)
+            P, _ = gen_probabilities(cfg, rng)
+            probs = np.full((cfg.n, cfg.n), 0.5)
+            probs[ju, iu] = expit_bt_latent_better(cfg, ref_rng)
+            probs[iu, ju] = 1.0 - probs[ju, iu]
+            assert gen_counts(P, cfg, rng) == gen_counts(ProbabilityMatrix(probs), cfg, ref_rng)
+
+    @pytest.mark.parametrize(
+        "n, density, score_sd, seed",
+        [(875, 0.0713, 1.5, 1), (60, 0.5, 1000.0, 0)],
+        ids=["paper-scale", "overflowing"],
+    )
+    def test_synthetic_matches_equal_expit_records(self, n, density, score_sd, seed):
+        # at score_sd=1000 about a third of the exponents pass 710 and overflow,
+        # which must give probability 0 without a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = synthetic_matches(n, density, score_sd=score_sd, seed=seed)
+        assert records == expit_synthetic_matches(n, density, score_sd=score_sd, seed=seed)
 
 
 class TestRankCounts:
