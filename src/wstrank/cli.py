@@ -54,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--reps", type=int, default=100)
     sim.add_argument("--methods", default=",".join(METHODS))
     sim.add_argument("--k", type=int, help="search window length")
-    sim.add_argument("--threads", type=int, default=1)
     sim.add_argument("--seed", type=int, default=0)
     add_common(sim)
     sim.set_defaults(func=cmd_simulate)
@@ -175,16 +174,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ]
         methods = study_methods(tuple(m.strip() for m in args.methods.split(",") if m.strip()))
         master_opts = _master_options(args)
-        if args.threads < 1:
-            raise ValueError("--threads must be at least 1")
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    # the grid shares every setting but scenario and n; results do not depend on threads
+    # the grid shares every setting but scenario and n
     shared = {k: v for k, v in asdict(configs[0]).items() if k not in ("scenario", "n")}
     rows = [
         {"scenario": c.scenario, "n": c.n, **asdict(s)}
         for c in configs
-        for s in run_study(c, methods, master_opts, args.threads).stats
+        for s in run_study(c, methods, master_opts).stats
     ]
     columns = ("scenario", "n", *(f.name for f in dataclass_fields(MethodStats)))
     _write(Report({**shared, "k": master_opts.k}, "stats", columns, rows), args)

@@ -1,8 +1,7 @@
 """Pairwise-comparison data model: counts, rankings, probabilities, ingestion.
 
 All types are immutable after construction (backing arrays are marked
-read-only), so every operation here is a pure function that is safe to call
-concurrently.
+read-only), so every operation here is a pure function.
 """
 
 from __future__ import annotations

@@ -2,14 +2,13 @@
 
 Every replicate draws from its own RNG stream derived as
 ``SeedSequence(entropy=(seed, replicate_index))``, so results are identical
-whatever the execution order or degree of parallelism.
+whatever the execution order.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,8 +97,8 @@ class SimConfig:
             raise ValueError("n must be at least 2")
         if self.scenario == "two_group" and self.n % 2:
             raise ValueError("two_group requires an even number of players")
-        if self.t_max < 0:
-            raise ValueError("t_max must be non-negative")
+        if not 0 <= self.t_max <= 2**63 - 1:  # numpy draws binomials with a C long
+            raise ValueError("t_max must be between 0 and 2**63 - 1")
         if not 0 <= self.xi_low <= self.xi_high <= 1:
             raise ValueError("need 0 <= xi_low <= xi_high <= 1")
         if self.replicates < 2:
@@ -202,18 +201,17 @@ def run_study(
     config: SimConfig,
     methods: tuple[str, ...] = METHODS,
     master_opts: MasterOptions | None = None,
-    threads: int = 1,
 ) -> StudyResult:
     """Replicated comparison of ranking methods on freshly simulated data.
 
     Each replicate generates its own truth and counts from a derived seed,
     runs every requested method, and records the Kendall error under both
     normalizations plus the score certificate for master. Deterministic for
-    a given config regardless of ``threads``.
+    a given config.
     """
     ordered = study_methods(methods)
-
-    def run_one(replicate: int) -> dict[str, tuple[int, float, bool | None] | None]:
+    per_replicate = []
+    for replicate in range(config.replicates):
         rng = replicate_rng(config.seed, replicate)
         P_star, truth = gen_probabilities(config, rng)
         counts = gen_counts(P_star, config, rng)
@@ -228,14 +226,7 @@ def run_study(
             elapsed = time.perf_counter() - start
             cert = None if fit.master is None else certify(fit.ranking, truth, counts)[0]
             out[method] = (kendall_tau(fit.ranking, truth), elapsed, cert)
-        return out
-
-    indices = range(config.replicates)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_replicate = list(pool.map(run_one, indices))
-    else:
-        per_replicate = [run_one(r) for r in indices]
+        per_replicate.append(out)
 
     stats = []
     for method in ordered:

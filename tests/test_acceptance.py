@@ -52,7 +52,7 @@ TABLE_TWO_GROUP_200 = {
 @lru_cache(maxsize=None)
 def study(scenario: str, n: int):
     cfg = SimConfig(scenario=scenario, n=n, replicates=100, seed=STUDY_SEED)
-    return run_study(cfg, threads=4)
+    return run_study(cfg)
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

@@ -123,20 +123,14 @@ class TestSimulate:
         assert "even" in capsys.readouterr().err
 
     def test_unknown_flag_rejected(self):
-        assert main(["simulate", "--scenario", "uniform", "--n", "10", "--fancy"]) == 2
+        for flag in (["--fancy"], ["--threads", "2"]):
+            assert main(["simulate", "--scenario", "uniform", "--n", "10", *flag]) == 2
 
     def test_unknown_method_is_usage_error(self, capsys):
         argv = ["simulate", "--scenario", "uniform", "--n", "10", "--reps", "2"]
         for methods in ("elo", ",", ""):  # an empty list, too, exits before any study
             assert main([*argv, "--methods", methods]) == 2
             assert capsys.readouterr().out == ""
-
-    def test_threads_below_one_is_usage_error(self, capsys):
-        code = main(
-            ["simulate", "--scenario", "uniform", "--n", "10", "--reps", "2", "--threads", "0"]
-        )
-        assert code == 2
-        assert "--threads" in capsys.readouterr().err
 
     def test_deterministic_apart_from_timing(self, tmp_path):
         args = [
@@ -154,7 +148,7 @@ class TestSimulate:
         ]
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(args + ["--out", str(out1)]) == 0
-        assert main(args + ["--out", str(out2), "--threads", "2"]) == 0
+        assert main(args + ["--out", str(out2)]) == 0
 
         def strip_secs(text):
             return [",".join(line.split(",")[:-1]) for line in text.splitlines()]
@@ -248,14 +242,24 @@ class TestSimulate:
         xi=st.tuples(st.floats(-0.2, 1.2), st.floats(-0.2, 1.2)),
         methods=st.lists(st.sampled_from(METHODS + ("elo",)), max_size=3),
         k=st.integers(1, 9),
-        threads=st.integers(-1, 3),
+        seed=st.integers(-1, 3),
+    )
+    @example(
+        scenarios=["uniform"],
+        sizes=[4],
+        t=2**63,  # numpy cannot draw binomials of more than 2**63 - 1 games
+        reps=2,
+        xi=(0.3, 0.5),
+        methods=["counting"],
+        k=3,
+        seed=0,
     )
     @settings(max_examples=30, deadline=None)
-    def test_exit_code_contract(self, scenarios, sizes, t, reps, xi, methods, k, threads):
+    def test_exit_code_contract(self, scenarios, sizes, t, reps, xi, methods, k, seed):
         argv = ["simulate", "--scenario", ",".join(scenarios), "--n", ",".join(map(str, sizes))]
         argv += ["--t", str(t), "--reps", str(reps), "--methods", ",".join(methods)]
         argv += ["--xi-low", str(xi[0]), "--xi-high", str(xi[1])]
-        argv += ["--k", str(k), "--threads", str(threads)]
+        argv += ["--k", str(k), "--seed", str(seed)]
         assert main(argv + ["--format", "csv"]) in EXIT_CODES
 
 
@@ -542,7 +546,7 @@ class TestCompare:
 @pytest.mark.parametrize(
     "argv",
     [
-        ["rank", "--method", "counting", "--threads", "2"],
+        ["rank", "--method", "counting", "--reps", "2"],
         ["compare", "--methods", "counting,bt", "--seed", "1"],
     ],
 )

@@ -1,10 +1,15 @@
-"""Whole-package checks run in a fresh interpreter: the package without scipy, and the README."""
+"""Whole-package checks: the package without scipy in a fresh interpreter, and the README."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from wstrank.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -57,3 +62,18 @@ def test_readme_quick_start_runs(tmp_path):
     code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     proc = run_python(code, tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_cli_examples_parse():
+    # the examples name files that do not exist, so they are parsed, not run
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## CLI", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("wstrank ")]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
