@@ -44,13 +44,14 @@ def bt_fit(counts: ComparisonCounts) -> tuple[np.ndarray, Ranking]:
     """Maximum-likelihood Bradley-Terry scores, constrained to sum to zero.
 
     Damped Newton's method from beta = 0 over the pairs of
-    ``counts.played``. With s = sigmoid(beta_lo - beta_hi) per pair, the
-    log-likelihood gradient is wins minus the sum of games * s, and the
-    negated Hessian is the Laplacian weighted by games * s * (1 - s). The
-    Laplacian is singular along the all-ones vector, which the likelihood
-    ignores; adding 11^T / n makes it nonsingular and, as the gradient sums
-    to zero, leaves the step unchanged. ``np.linalg.solve`` finds the step,
-    and each trial is re-centred to sum zero. A halving line search accepts
+    ``counts.played``, whose lower player won (games + z) / 2 games. With
+    s = sigmoid(beta_lo - beta_hi) per pair, the log-likelihood gradient is
+    wins minus the sum of games * s, and the negated Hessian is the
+    Laplacian weighted by games * s * (1 - s). The Laplacian is singular
+    along the all-ones vector, which the likelihood ignores; adding 11^T / n
+    makes it nonsingular and, as the gradient sums to zero, leaves the step
+    unchanged. ``np.linalg.solve`` finds the step, and each trial is
+    re-centred to sum zero. A halving line search accepts
     the first trial that raises the log-likelihood or lowers the gradient
     norm: near the optimum the log-likelihood can no longer resolve a step's
     gain at float precision, but the gradient still can. The fit stops once
@@ -67,9 +68,9 @@ def bt_fit(counts: ComparisonCounts) -> tuple[np.ndarray, Ranking]:
             "comparison graph is not strongly connected; "
             "apply filter_players(counts, 'bt-connected') first"
         )
-    lo, hi, games, wins_lo = counts.played
+    lo, hi, games, z = counts.played
+    wins_lo = ((games + z) // 2).astype(float)
     games = games.astype(float)
-    wins_lo = wins_lo.astype(float)
     losses_lo = games - wins_lo
 
     def evaluate(b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:

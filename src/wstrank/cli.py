@@ -323,6 +323,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # numpy raises it at once for an instance far too large
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 3
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -175,31 +175,18 @@ class ComparisonCounts:
 
     @cached_property
     def played(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The pairs that have played, as read-only arrays ``(lo, hi, games, wins_lo)``.
+        """The pairs that have played, as read-only arrays ``(lo, hi, games, z)``.
 
         ``lo < hi`` index the pairs with ``games = pair[lo, hi] > 0``, in
-        row-major (``np.nonzero``) order, and ``wins_lo = win[lo, hi]``. The
-        arrays are int64 and C-contiguous. Built once per object.
+        row-major (``np.nonzero``) order, and ``z = win[lo, hi] - win[hi, lo]``
+        is the net wins of ``lo``, zero for a drawn pair. The wins of ``lo``
+        are ``(games + z) // 2``. The arrays are int64 and C-contiguous.
+        Built once per object.
         """
         flat = np.flatnonzero(np.triu(self.pair_counts > 0, 1))
         lo, hi = np.divmod(flat, self.n)
-        pairs = (lo, hi, self.pair_counts.ravel()[flat], self.win_counts.ravel()[flat])
-        for a in pairs:
-            a.setflags(write=False)
-        return pairs
-
-    @cached_property
-    def decisive(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The pairs with a net winner, as read-only arrays ``(lo, hi, z)``.
-
-        The pairs of :attr:`played` with ``z = win[lo, hi] - win[hi, lo] != 0``,
-        in the same order; every other pair adds nothing to the maximum-score
-        objective or its surrogate. Built once per object.
-        """
-        lo, hi, games, wins_lo = self.played
-        z = 2 * wins_lo - games
-        net = z != 0
-        pairs = (lo[net], hi[net], z[net])
+        games = self.pair_counts.ravel()[flat]
+        pairs = (lo, hi, games, 2 * self.win_counts.ravel()[flat] - games)
         for a in pairs:
             a.setflags(write=False)
         return pairs
@@ -362,32 +349,24 @@ class WstReport:
     """Outcome of a transitivity check.
 
     ``violations`` holds ordered triples (i, j, k) with p_ij >= 0.5 and
-    p_jk >= 0.5 but p_ik < 0.5 - tol. ``ties`` holds pairs i < j whose
-    probability is within tol of 0.5, for which the implied ranking is not
-    unique.
+    p_jk >= 0.5 but p_ik < 0.5. ``ties`` holds pairs i < j whose
+    probability is exactly 0.5, for which the implied ranking is not unique.
     """
 
     violations: tuple[tuple[int, int, int], ...]
     ties: tuple[tuple[int, int], ...]
-    tol: float
 
     @property
     def ok(self) -> bool:
         return not self.violations and not self.ties
 
 
-def check_wst(P: ProbabilityMatrix, tol: float = 0.0) -> WstReport:
-    """Brute-force weak-stochastic-transitivity check over all ordered triples.
-
-    ``tol = 0`` suits exactly constructed matrices; use around 1e-9 for
-    matrices reconstructed from floats.
-    """
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
+def check_wst(P: ProbabilityMatrix) -> WstReport:
+    """Brute-force weak-stochastic-transitivity check over all ordered triples."""
     p = P.probs
     n = P.n
     at_least_even = p >= 0.5
-    below = p < (0.5 - tol)
+    below = p < 0.5
     violations: list[tuple[int, int, int]] = []
     for j in range(n):
         premise = np.outer(at_least_even[:, j], at_least_even[j, :])
@@ -398,9 +377,9 @@ def check_wst(P: ProbabilityMatrix, tol: float = 0.0) -> WstReport:
         for i, k in zip(*np.nonzero(hit)):
             violations.append((int(i), int(j), int(k)))
     iu, ju = np.triu_indices(n, 1)
-    near = np.abs(p[iu, ju] - 0.5) <= tol
-    ties = tuple((int(a), int(b)) for a, b in zip(iu[near], ju[near]))
-    return WstReport(tuple(sorted(violations)), ties, tol)
+    even = p[iu, ju] == 0.5
+    ties = tuple((int(a), int(b)) for a, b in zip(iu[even], ju[even]))
+    return WstReport(tuple(sorted(violations)), ties)
 
 
 def skew_statistic(counts: ComparisonCounts) -> np.ndarray:
@@ -412,11 +391,13 @@ def skew_statistic(counts: ComparisonCounts) -> np.ndarray:
     put -0.0 below the diagonal. Each lower entry is the negated upper one,
     so ``x + x.T`` is exactly zero.
     """
-    lo, hi, games, wins_lo = counts.played
-    net = 2 * wins_lo != games
+    lo, hi, games, z = counts.played
+    net = z != 0
+    lo, hi, g = lo[net], hi[net], games[net]
+    w = (g + z[net]) // 2
     x = np.zeros((counts.n, counts.n))
-    x[lo[net], hi[net]] = 2.0 * wins_lo[net] / games[net] - 1.0
-    x[hi[net], lo[net]] = -x[lo[net], hi[net]]
+    x[lo, hi] = 2.0 * w / g - 1.0
+    x[hi, lo] = -x[lo, hi]
     return x
 
 

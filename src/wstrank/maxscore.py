@@ -53,7 +53,11 @@ class MasterOptions:
 
 @dataclass(frozen=True, eq=False)
 class MasterResult:
-    """Final ranking with objective diagnostics; objective >= init_objective."""
+    """Final ranking with objective diagnostics; objective >= init_objective.
+
+    ``sweeps`` counts the improving window moves ``ktuple_search`` applied,
+    not full passes over the ranking.
+    """
 
     ranking: Ranking
     objective: int
@@ -68,13 +72,14 @@ class MasterResult:
 
 
 def score(pi: Ranking, counts: ComparisonCounts) -> int:
-    """Exact integer objective L(pi), summed over the pairs of ``counts.decisive``.
+    """Exact integer objective L(pi), summed over the pairs of ``counts.played``.
 
-    Unplayed pairs and pairs without a net winner contribute zero.
+    Unplayed pairs add nothing, and a played pair without a net winner adds
+    its z = 0.
     """
     if pi.n != counts.n:
         raise ValueError("ranking and counts disagree on the number of players")
-    lo, hi, z = counts.decisive
+    lo, hi, _, z = counts.played
     return int(z @ (pi.ranks[lo] > pi.ranks[hi]))
 
 
@@ -100,10 +105,10 @@ def surrogate_init(
     If ``trace`` is a list, the objective value after each accepted step is
     appended to it: one entry per step, non-decreasing.
 
-    The sums run over the m pairs of ``counts.decisive`` (z_ij != 0) only;
-    the others add nothing. Each line-search trial and each gradient
-    therefore costs O(m + n), not O(n^2), and the gradient reuses the
-    sigmoids computed for the accepted trial. A trial's sigmoids are
+    The sums run over the m pairs of ``counts.played`` with z_ij != 0 only,
+    masked once per call; the others add nothing. Each line-search trial
+    and each gradient therefore costs O(m + n), not O(n^2), and the
+    gradient reuses the sigmoids computed for the accepted trial. A trial's sigmoids are
     1 / (1 + exp(beta_j - beta_i)), computed in place in one array, with
     beta_i repeated once per segment of the sorted ``lo``; an exp that
     overflows gives exactly 0.0. The gradient adds each player's pair
@@ -114,8 +119,9 @@ def surrogate_init(
     """
     opts = opts or MasterOptions()
     n = counts.n
-    lo, hi, z = counts.decisive
-    zw = z.astype(float)
+    lo, hi, _, z = counts.played
+    net = z != 0
+    lo, hi, zw = lo[net], hi[net], z[net].astype(float)
     lo_starts = np.flatnonzero(np.diff(lo, prepend=-1))  # lo is sorted
     lo_lens = np.diff(lo_starts, append=lo.size)
     hi_order = np.argsort(hi, kind="stable")
@@ -229,14 +235,14 @@ def ktuple_search(counts: ComparisonCounts, init: Ranking, k: int) -> MasterResu
     because the objective is integer, strictly increasing on each accepted
     move, and bounded.
 
-    The pair terms are read from ``counts.decisive``.
+    The pair terms are the net wins z of ``counts.played``.
     """
     n = counts.n
     if init.n != n:
         raise ValueError("ranking and counts disagree on the number of players")
     if not 2 <= k <= min(n, MAX_TUPLE_LEN):
         raise ValueError(f"k must be in [2, min(n, {MAX_TUPLE_LEN})]")
-    lo, hi, z = counts.decisive
+    lo, hi, _, z = counts.played
     # contribution[w, l] is the objective term earned when w is ranked above l
     contribution = np.zeros((n, n))
     contribution[lo, hi] = z

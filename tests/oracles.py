@@ -60,20 +60,6 @@ def exhaustive_max_score(win) -> tuple[int, tuple[int, ...]]:
     return best, tuple(r + 1 for r in best_perm)
 
 
-def brute_decisive(win) -> tuple[list[int], list[int], list[int]]:
-    """Pairs i < j with net wins z = win[i][j] - win[j][i] != 0, row by row."""
-    n = len(win)
-    lo, hi, z = [], [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            net = int(win[i][j]) - int(win[j][i])
-            if net != 0:
-                lo.append(i)
-                hi.append(j)
-                z.append(net)
-    return lo, hi, z
-
-
 def loop_load_matches(records) -> ComparisonCounts:
     """``data.load_matches`` one record at a time, stopping at the first bad one."""
     if not records:
@@ -178,7 +164,7 @@ def largest_strong_component(win) -> tuple[int, ...]:
     return min(components, key=lambda c: (-len(c), c[0]))
 
 
-def brute_wst_violations(probs, tol: float = 0.0) -> list[tuple[int, int, int]]:
+def brute_wst_violations(probs) -> list[tuple[int, int, int]]:
     n = probs.shape[0]
     out = []
     for i in range(n):
@@ -186,7 +172,7 @@ def brute_wst_violations(probs, tol: float = 0.0) -> list[tuple[int, int, int]]:
             for k in range(n):
                 if i == j or j == k or i == k:
                     continue
-                if probs[i, j] >= 0.5 and probs[j, k] >= 0.5 and probs[i, k] < 0.5 - tol:
+                if probs[i, j] >= 0.5 and probs[j, k] >= 0.5 and probs[i, k] < 0.5:
                     out.append((i, j, k))
     return sorted(out)
 

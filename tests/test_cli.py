@@ -122,6 +122,20 @@ class TestSimulate:
         assert code == 2
         assert "even" in capsys.readouterr().err
 
+    def test_out_of_memory_exits_3(self, monkeypatch, capsys):
+        # numpy raises MemoryError at once for an instance far too large
+        # (``--n 100000000``); stand it in without allocating anything
+        import wstrank.cli
+
+        def explode(config, methods, master_opts):
+            raise MemoryError("Unable to allocate 8.88 PiB")
+
+        monkeypatch.setattr(wstrank.cli, "run_study", explode)
+        code = main(["simulate", "--scenario", "uniform", "--n", "10", "--reps", "2"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 8.88 PiB\n"
+
     def test_unknown_flag_rejected(self):
         for flag in (["--fancy"], ["--threads", "2"]):
             assert main(["simulate", "--scenario", "uniform", "--n", "10", *flag]) == 2

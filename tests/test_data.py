@@ -34,7 +34,6 @@ from wstrank.data import largest_strong_component, strong_component
 from wstrank.simulation import replicate_rng
 
 from oracles import (
-    brute_decisive,
     brute_wst_violations,
     counts_error,
     dense_skew_statistic,
@@ -480,51 +479,27 @@ class TestSkewStatistic:
         assert x.tobytes() == dense.tobytes()  # signs of zero included
 
 
-class TestDecisivePairs:
-    @given(game_counts())
-    @settings(max_examples=200, deadline=None)
-    def test_matches_brute_force_in_order(self, counts):
-        lo, hi, z = counts.decisive
-        expected = brute_decisive(counts.win_counts)
-        for got, want in zip((lo, hi, z), expected):
-            assert got.dtype.kind == "i"
-            assert got.tolist() == want
-            assert not got.flags.writeable
-        assert counts.decisive is counts.decisive
-
-
 class TestPlayedPairs:
     @given(game_counts())
     @settings(max_examples=200, deadline=None)
     def test_lists_played_pairs_in_row_major_order(self, counts):
-        lo, hi, games, wins_lo = counts.played
-        n, pair = counts.n, counts.pair_counts
+        lo, hi, games, z = counts.played
+        n, pair, win = counts.n, counts.pair_counts, counts.win_counts
         expected = [(i, j) for i in range(n) for j in range(i + 1, n) if pair[i, j] > 0]
         assert list(zip(lo.tolist(), hi.tolist())) == expected
         assert games.tolist() == [int(pair[i, j]) for i, j in expected]
-        assert wins_lo.tolist() == [int(counts.win_counts[i, j]) for i, j in expected]
+        # net wins of the lower player, drawn pairs' zeros included
+        assert z.tolist() == [int(win[i, j]) - int(win[j, i]) for i, j in expected]
         for a in counts.played:
             assert a.dtype == np.int64
             assert a.flags.c_contiguous
             assert not a.flags.writeable
         assert counts.played is counts.played
 
-    @given(game_counts())
-    @settings(max_examples=200, deadline=None)
-    def test_decisive_is_played_masked_by_net_wins(self, counts):
-        lo, hi, games, wins_lo = counts.played
-        z = wins_lo - (games - wins_lo)
-        net = z != 0
-        for got, want in zip(counts.decisive, (lo[net], hi[net], z[net])):
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
-            assert got.flags.c_contiguous
-            assert not got.flags.writeable
-
     @pytest.mark.parametrize("n", [1, 4])
     def test_no_games_gives_empty_lists(self, n):
         counts = ComparisonCounts(np.zeros((n, n), dtype=int))
-        for a in (*counts.played, *counts.decisive):
+        for a in counts.played:
             assert a.shape == (0,)
             assert a.dtype == np.int64
 

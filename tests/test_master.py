@@ -107,10 +107,21 @@ class TestScore:
     def test_matches_bruteforce_on_all_permutations(self):
         import itertools
 
-        counts, _ = random_instance(21, 5)
-        for perm in itertools.permutations(range(1, 6)):
-            pi = Ranking(np.array(perm))
-            assert score(pi, counts) == brute_score(perm, counts.win_counts)
+        drawn = counts_from_wins(  # (0, 1) split 2-2 and (2, 4) split 1-1
+            [
+                [0, 2, 1, 0, 3],
+                [2, 0, 0, 1, 0],
+                [2, 1, 0, 0, 1],
+                [0, 0, 3, 0, 2],
+                [1, 4, 1, 0, 0],
+            ]
+        )
+        _, _, _, z = drawn.played
+        assert np.count_nonzero(z == 0) == 2  # played pairs that add z = 0 to the sum
+        for counts in (random_instance(21, 5)[0], drawn):
+            for perm in itertools.permutations(range(1, 6)):
+                pi = Ranking(np.array(perm))
+                assert score(pi, counts) == brute_score(perm, counts.win_counts)
 
     def test_relabelling_preserves_score_differences(self):
         # Written over pairs i < j, the objective picks up a constant that
