@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count, repeat
 from operator import eq
-from typing import Iterable, NamedTuple, NoReturn
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -210,11 +210,12 @@ class ProbabilityMatrix:
         p = np.array(self.probs, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] == 0:
             raise ValueError("probs must be a non-empty square matrix")
-        if (p < 0).any() or (p > 1).any():
+        # each check asks what must hold, so NaN, which fails every comparison, fails it
+        if not ((p >= 0) & (p <= 1)).all():
             raise ValueError("probabilities must lie in [0, 1]")
-        if np.abs(p + p.T - 1.0).max() > 1e-12:
+        if not (np.abs(p + p.T - 1.0) <= 1e-12).all():
             raise ValueError("probs[i,j] + probs[j,i] must equal 1")
-        if np.abs(np.diagonal(p) - 0.5).max() > 1e-12:
+        if not (np.abs(np.diagonal(p) - 0.5) <= 1e-12).all():
             raise ValueError("diagonal must be 0.5")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
@@ -411,52 +412,33 @@ def read_match_csv(path) -> MatchRecords:
     :class:`MatchRecords` wraps: no object is built or kept per game, so a
     large file gives the garbage collector nothing to scan, and each row's
     list is freed once its names are copied. The same pass checks every
-    field count: after the k-th row the list must hold 2k names. Only if a
-    row fails that, or reading raises, is the file read again row by row,
-    so that the error names the first problem the row-by-row read meets: a
-    bad row by the physical line it ends on (which differs from the row
-    count once a quoted field spans lines), or, once the decoder reaches
-    it, the line and file offset of the first byte that is not valid UTF-8.
+    field count: after the k-th row the list must hold 2k names. The pass
+    stops at its first problem and names it: a bad row by the physical line
+    it ends on (which differs from the row count once a quoted field spans
+    lines), or, once the decoder reaches it, the line and file offset of
+    the first byte that is not valid UTF-8.
     """
     names: list[str] = []
+    ends = count(2, 2)  # the list's length after each row
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            _check_header(path, next(reader, None))
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty match file")
+            if [h.strip() for h in header] != ["winner", "loser"]:
+                raise DataError(f"{path}: expected header 'winner,loser', got {header!r}")
             # names.__iadd__ extends the list and returns it
-            rows_ok = all(map(eq, map(len, map(names.__iadd__, filter(None, reader))), count(2, 2)))
-        except (csv.Error, UnicodeDecodeError):
-            rows_ok = False
-    if not rows_ok:
-        _raise_first_row_error(path)
-    return MatchRecords(names)
-
-
-def _check_header(path, header: list[str] | None) -> None:
-    if header is None:
-        raise DataError(f"{path}: empty match file")
-    if [h.strip() for h in header] != ["winner", "loser"]:
-        raise DataError(f"{path}: expected header 'winner,loser', got {header!r}")
-
-
-def _raise_first_row_error(path) -> NoReturn:
-    """Read ``path`` one row at a time and raise the DataError for its first bad row.
-
-    Called only once :func:`read_match_csv` has met a problem, so a file
-    that reads cleanly here is an internal error.
-    """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            _check_header(path, next(reader, None))
-            for row in reader:
-                if row and len(row) != 2:
-                    raise DataError(f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}")
+            if all(map(eq, map(len, map(names.__iadd__, filter(None, reader))), ends)):
+                return MatchRecords(names)
         except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
             raise DataError(f"{path}:{reader.line_num}: {exc}") from None
         except UnicodeDecodeError:
             raise _utf8_error(path) from None
-    raise AssertionError(f"{path}: the row-by-row re-read found no bad row")
+    # the k-th row failed: ends has given 2k, and the list holds 2k - 2
+    # names before that row's own
+    fields = len(names) - next(ends) + 4
+    raise DataError(f"{path}:{reader.line_num}: expected 2 fields, got {fields}")
 
 
 def _utf8_error(path) -> DataError:

@@ -21,6 +21,7 @@ from .metrics import error_rate, kendall_tau
 
 SCENARIOS = ("uniform", "two_group", "bt_latent")
 METHODS = ("counting", "bt", "usvt", "master")
+BT_LATENT_SD = math.sqrt(2.0)  # bt_latent's latent-score standard deviation (variance 2)
 
 
 def study_methods(methods: tuple[str, ...]) -> tuple[str, ...]:
@@ -73,8 +74,7 @@ class SimConfig:
     True ranks are 1..n by player index (player n is best). Pair i < j plays
     Binomial(t_max, xi_ij) games with xi_ij ~ Uniform(xi_low, xi_high), and
     the better player wins each game independently with the scenario's
-    probability. ``bt_sd`` is the latent-score standard deviation for the
-    ``bt_latent`` scenario (default sqrt(2), i.e. variance 2).
+    probability.
 
     Reliable recovery needs the sampling rates to stay comparable across
     pairs and not vanish too fast: keep xi_low within a constant factor of
@@ -88,7 +88,6 @@ class SimConfig:
     xi_high: float = 0.5
     replicates: int = 100
     seed: int = 0
-    bt_sd: float = math.sqrt(2.0)
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
@@ -105,8 +104,6 @@ class SimConfig:
             raise ValueError("replicates must be at least 2 to estimate standard errors")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if not self.bt_sd > 0:
-            raise ValueError("bt_sd must be positive")
 
 
 def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
@@ -136,7 +133,7 @@ def gen_probabilities(
         low = np.where(same_group, 0.75, 0.65)
         better = low + 0.1 * rng.uniform(0.0, 1.0, iu.size)
     else:
-        latent = np.sort(rng.normal(0.0, config.bt_sd, n))
+        latent = np.sort(rng.normal(0.0, BT_LATENT_SD, n))
         better = 1.0 / (1.0 + np.exp(latent[iu] - latent[ju]))  # sorted, so exponent <= 0
     # rule out exact coin flips so the implied ranking is unique
     better = np.maximum(better, np.nextafter(0.5, 1.0))

@@ -16,6 +16,7 @@ from scipy.special import expit
 from wstrank.data import ComparisonCounts, MatchRecord, Ranking
 from wstrank.errors import DataError
 from wstrank.maxscore import SURROGATE_RIDGE, MasterResult, score
+from wstrank.simulation import BT_LATENT_SD
 
 
 def brute_kendall(ranks_a, ranks_b) -> int:
@@ -196,7 +197,7 @@ def expit_bt_latent_better(config, rng) -> np.ndarray:
     Draws what ``gen_probabilities`` draws for bt_latent, in the same order,
     so ``rng`` ends in the same state.
     """
-    latent = np.sort(rng.normal(0.0, config.bt_sd, config.n))
+    latent = np.sort(rng.normal(0.0, BT_LATENT_SD, config.n))
     iu, ju = np.triu_indices(config.n, 1)
     return np.maximum(expit(latent[ju] - latent[iu]), np.nextafter(0.5, 1.0))
 

@@ -1,3 +1,4 @@
+import builtins
 import csv
 import gc
 import io
@@ -410,6 +411,19 @@ def probability_matrix(n, entries):
     return ProbabilityMatrix(probs)
 
 
+class TestProbabilityMatrix:
+    @pytest.mark.parametrize(
+        "probs",
+        [[[0.5, np.nan], [np.nan, 0.5]], [[np.nan, 0.5], [0.5, 0.5]], np.full((3, 3), np.nan)],
+        ids=["off_diagonal", "diagonal", "everywhere"],
+    )
+    def test_rejects_nan(self, probs):
+        # NaN fails every comparison, so a check that raises only on a
+        # comparison that holds would let it through
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            ProbabilityMatrix(probs)
+
+
 class TestCheckWst:
     def test_wst_holds_without_sst(self):
         # strong pairwise favourites but a weak transitive edge is fine
@@ -591,6 +605,7 @@ class TestSerialization:
     @example("winner,loser\nA,B,C\n" + OVERSIZED_FIELD + ",B\n")  # field count before reader error
     @example("winner,loser\n" + OVERSIZED_FIELD + ",B\nA\n")  # reader error before field count
     @example('winner,loser\n"A\nB",C,D\nA\n')  # a 3-field row spanning lines 2-3
+    @example("winner,loser\nA,B\nC,D\nE,F,G,H\n")  # the third row's field count, got 4 on line 4
     @settings(max_examples=300, deadline=None)
     def test_match_csv_matches_loop_oracle(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("csv") / "m.csv"
@@ -616,13 +631,34 @@ class TestSerialization:
         assert str(info.value) == message
 
     def test_match_csv_bad_row_before_a_later_bad_byte_is_named(self, tmp_path):
-        # the row-by-row read meets the 3-field row before the decoder
-        # reaches the bad byte, as it did before the records were built in C
+        # the one pass meets the 3-field row and stops before the decoder
+        # reaches the bad byte
         lines = [b"winner,loser", b"A,B,C"] + [b"p%d,q%d" % (i, i) for i in range(5000)]
         path = tmp_path / "m.csv"
         path.write_bytes(b"\n".join(lines) + b"\nA,\xff\n")
         with pytest.raises(DataError, match=r"m\.csv:2: expected 2 fields, got 3$"):
             read_match_csv(path)
+
+    @pytest.mark.parametrize(
+        ("tail", "opens"),
+        [(b"A,B\nA,B,C\nB,A\n", 1), (b"A,B\nA,\xff\nB,A\n", 2)],
+        ids=["field_count", "utf8"],
+    )
+    def test_match_csv_bad_file_open_count(self, tmp_path, monkeypatch, tail, opens):
+        # a bad row is named by the pass that found it; only a bad byte
+        # needs the file's bytes, to give its offset in the file
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args)
+            return builtins.open(*args, **kwargs)
+
+        monkeypatch.setattr(wstrank.data, "open", counting_open, raising=False)
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"winner,loser\n" + tail)
+        with pytest.raises(DataError, match=r"m\.csv:3: "):
+            read_match_csv(path)
+        assert len(opened) == opens
 
     def test_match_csv_reader_error_names_the_line(self, tmp_path):
         # csv refuses a field longer than csv.field_size_limit() (131072).
