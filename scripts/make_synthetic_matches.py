@@ -23,15 +23,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--players", type=int, default=875)
     parser.add_argument("--density", type=float, default=0.0713)
-    parser.add_argument("--t", type=int, default=5, help="max games per meeting pair")
-    parser.add_argument("--sd", type=float, default=1.5, help="latent score spread")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="matches.csv")
     args = parser.parse_args()
 
-    records = synthetic_matches(
-        args.players, args.density, t_max=args.t, score_sd=args.sd, seed=args.seed
-    )
+    records = synthetic_matches(args.players, args.density, seed=args.seed)
     write_match_csv(args.out, records)
     print(f"wrote {len(records)} games over {args.players} players to {args.out}", file=sys.stderr)
     return 0

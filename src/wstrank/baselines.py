@@ -14,8 +14,8 @@ from .data import (
     ComparisonCounts,
     ProbabilityMatrix,
     Ranking,
+    largest_strong_component,
     skew_statistic,
-    strong_component,
 )
 from .errors import ConvergenceError, DataError, NotConnectedError, NumericError
 
@@ -58,12 +58,13 @@ def bt_fit(counts: ComparisonCounts) -> tuple[np.ndarray, Ranking]:
     the gradient norm drops to ``BT_TOL``. It raises ``ConvergenceError``
     after ``BT_MAX_ITERS`` Newton steps or when no trial is accepted, and
     ``NumericError`` when the solve fails or gives a non-finite step.
-    The MLE exists iff the win digraph is strongly connected, which two
-    searches from player 0 check (see :func:`strong_component`); anything
-    else raises before iterating.
+    The MLE exists iff the win digraph is strongly connected, that is iff
+    :func:`largest_strong_component` holds every player, which on a
+    connected digraph its first two searches settle. Anything else raises
+    ``NotConnectedError`` before iterating.
     """
     n = counts.n
-    if not strong_component(counts, 0).all():
+    if not largest_strong_component(counts).all():
         raise NotConnectedError(
             "comparison graph is not strongly connected; "
             "apply filter_players(counts, 'bt-connected') first"

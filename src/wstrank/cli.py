@@ -231,14 +231,12 @@ def _read_ranking_artifact(path: str) -> tuple[str, dict[str, int]]:
     return artifact.get("method", path), {p["label"]: n - p["position"] + 1 for p in players}
 
 
-def _aligned_rankings(ranks_a: dict[str, int], ranks_b: dict[str, int]) -> tuple[Ranking, Ranking, list[str]]:
+def _aligned_rankings(ranks_a: dict[str, int], ranks_b: dict[str, int]) -> tuple[Ranking, Ranking]:
     labels_a, labels_b = set(ranks_a), set(ranks_b)
     if labels_a != labels_b:
         raise AlignmentError(labels_a - labels_b, labels_b - labels_a)
     labels = sorted(labels_a)
-    ra = Ranking(np.array([ranks_a[l] for l in labels]))
-    rb = Ranking(np.array([ranks_b[l] for l in labels]))
-    return ra, rb, labels
+    return tuple(Ranking(np.array([ranks[l] for l in labels])) for ranks in (ranks_a, ranks_b))
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -274,7 +272,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     else:
         raise _UsageError("need either --rankings a,b or --input FILE --methods m1,m2")
 
-    ra, rb, _ = _aligned_rankings(ranks_a, ranks_b)
+    ra, rb = _aligned_rankings(ranks_a, ranks_b)
     n = ra.n
     if n < 2:
         raise DataError("need at least 2 players to compare rankings")
@@ -284,8 +282,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for a, b in h2h_requests:
         if raw_counts is None:
             raise _UsageError("--h2h needs --input with the match file")
-        if raw_counts.labels is None or a not in raw_counts.labels or b not in raw_counts.labels:
-            missing = [x for x in (a, b) if raw_counts.labels is None or x not in raw_counts.labels]
+        missing = [x for x in (a, b) if x not in raw_counts.labels]
+        if missing:
             raise DataError(f"unknown player(s) for --h2h: {missing}")
         ia, ib = raw_counts.labels.index(a), raw_counts.labels.index(b)
         h2h_rows.append(

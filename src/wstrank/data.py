@@ -201,7 +201,7 @@ class ComparisonCounts:
 class ProbabilityMatrix:
     """Pairwise winning probabilities with ``probs[i, j] + probs[j, i] == 1``.
 
-    The diagonal is fixed at 0.5 by convention.
+    At ``i == j`` that fixes the diagonal at 0.5.
     """
 
     probs: np.ndarray
@@ -213,10 +213,8 @@ class ProbabilityMatrix:
         # each check asks what must hold, so NaN, which fails every comparison, fails it
         if not ((p >= 0) & (p <= 1)).all():
             raise ValueError("probabilities must lie in [0, 1]")
-        if not (np.abs(p + p.T - 1.0) <= 1e-12).all():
+        if not (np.abs(p + p.T - 1.0) <= 1e-12).all():  # so also |p[i, i] - 0.5| <= 5e-13
             raise ValueError("probs[i,j] + probs[j,i] must equal 1")
-        if not (np.abs(np.diagonal(p) - 0.5) <= 1e-12).all():
-            raise ValueError("diagonal must be 0.5")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
@@ -265,54 +263,43 @@ def load_matches(records: Iterable[MatchRecord]) -> ComparisonCounts:
     return ComparisonCounts(win, labels=tuple(index))
 
 
-def _reach(adj: np.ndarray, start: int) -> np.ndarray:
-    """Mask of the players reachable from ``start`` along ``adj``, by frontier search."""
-    seen = np.zeros(adj.shape[0], dtype=bool)
+def _reach(adj: np.ndarray, start: int, excluded: np.ndarray) -> np.ndarray:
+    """Mask of the players that ``start`` reaches along ``adj`` without entering ``excluded``."""
+    seen = excluded.copy()
     seen[start] = True
-    frontier = seen.copy()
+    frontier = ~excluded & seen
     while frontier.any():
         frontier = adj[frontier].any(axis=0) & ~seen
         seen |= frontier
-    return seen
-
-
-def strong_component(counts: ComparisonCounts, player: int) -> np.ndarray:
-    """Mask of the strongly connected component of the win digraph holding ``player``.
-
-    The edge i -> j means i beat j. The component is the players that
-    ``player`` reaches forward and that reach it backward: two frontier
-    searches (Fleischer, Hendrickson and Pinar 2000), O(n^2) on the dense
-    adjacency.
-    """
-    adj = counts.win_counts > 0
-    return _reach(adj, player) & _reach(adj.T, player)
+    return seen & ~excluded
 
 
 def largest_strong_component(counts: ComparisonCounts) -> np.ndarray:
     """Mask of the largest strongly connected component of the win digraph.
 
-    First the component of the player with the most opponents is searched
-    (:func:`strong_component`); if it holds more than half the players it
-    is the unique largest one. Only otherwise, as on a graph split into
-    small components, does this fall back to the full transitive closure by
-    float32 matrix products (exact up to 2**24 players), taking among
-    components of equal size the one holding the smallest index.
+    The edge i -> j means i beat j. Components are found one at a time,
+    from the lowest-index player not yet placed in one, by two frontier
+    searches (Fleischer, Hendrickson and Pinar 2000): forward among the
+    unplaced players, then backward within what the forward search reached.
+    A path between two members of a component stays inside it, so the
+    confined searches still find the whole component. The loop stops once
+    too few players are left unplaced to form a larger component. As
+    components come in order of their smallest index, among components of
+    equal size the one holding the smallest index is kept; when every
+    component is a single player, that is player 0. A strongly connected
+    digraph takes one pair of searches, an acyclic one n - 1.
     """
-    n = counts.n
-    component = strong_component(counts, int(np.count_nonzero(counts.pair_counts, axis=1).argmax()))
-    if 2 * np.count_nonzero(component) > n:
-        return component
-    reach = (counts.win_counts > 0) | np.eye(n, dtype=bool)
-    while True:
-        paths = reach.astype(np.float32)
-        grown = (paths @ paths) > 0
-        if np.array_equal(grown, reach):
-            break
-        reach = grown
-    same = reach & reach.T
-    # argmax takes the first row of largest size: among equal-size
-    # components, the one holding the smallest index
-    return same[same.sum(axis=1).argmax()]
+    adj = counts.win_counts > 0
+    placed = np.zeros(counts.n, dtype=bool)
+    best = np.zeros(counts.n, dtype=bool)
+    while counts.n - np.count_nonzero(placed) > np.count_nonzero(best):
+        player = int(placed.argmin())
+        forward = _reach(adj, player, placed)
+        component = _reach(adj.T, player, ~forward)
+        placed = placed | component
+        if np.count_nonzero(component) > np.count_nonzero(best):
+            best = component
+    return best
 
 
 def filter_players(
@@ -323,9 +310,10 @@ def filter_players(
     ``"no-wins"`` removes, in a single pass, every player without a single
     win. ``"bt-connected"`` keeps only the largest strongly connected
     component of the win digraph, which is the precondition for a
-    well-posed Bradley-Terry likelihood; see
-    :func:`largest_strong_component` for how it is found and for the
-    tie-break between components of equal size.
+    well-posed Bradley-Terry likelihood; among components of equal size
+    the one holding the smallest index is kept (see
+    :func:`largest_strong_component`). It raises ``DataError`` when that
+    component has fewer than 2 players, as on an acyclic digraph.
     The index map sends new indices to original ones.
     """
     if policy not in FILTER_POLICIES:

@@ -22,6 +22,8 @@ from .metrics import error_rate, kendall_tau
 SCENARIOS = ("uniform", "two_group", "bt_latent")
 METHODS = ("counting", "bt", "usvt", "master")
 BT_LATENT_SD = math.sqrt(2.0)  # bt_latent's latent-score standard deviation (variance 2)
+SYNTHETIC_T_MAX = 5  # synthetic_matches: most games a meeting pair plays
+SYNTHETIC_SCORE_SD = 1.5  # synthetic_matches: latent-score standard deviation
 
 
 def study_methods(methods: tuple[str, ...]) -> tuple[str, ...]:
@@ -187,7 +189,6 @@ class MethodStats:
 
 @dataclass(frozen=True, eq=False)
 class StudyResult:
-    config: SimConfig
     stats: tuple[MethodStats, ...]
 
     def by_method(self) -> dict[str, MethodStats]:
@@ -250,20 +251,15 @@ def run_study(
                 secs=secs,
             )
         )
-    return StudyResult(config, tuple(stats))
+    return StudyResult(tuple(stats))
 
 
-def synthetic_matches(
-    n_players: int,
-    pair_density: float,
-    t_max: int = 5,
-    score_sd: float = 1.5,
-    seed: int = 0,
-) -> list[MatchRecord]:
+def synthetic_matches(n_players: int, pair_density: float, seed: int = 0) -> list[MatchRecord]:
     """Synthetic tournament records at a target pair-coverage density.
 
     Each unordered pair meets with probability ``pair_density`` and then
-    plays 1..t_max games; winners follow a latent-score logistic model. Handy
+    plays 1..``SYNTHETIC_T_MAX`` games; winners follow a logistic model on
+    latent normal scores with standard deviation ``SYNTHETIC_SCORE_SD``. Handy
     for exercising the ingestion pipeline at realistic scale without
     shipping any real dataset.
     """
@@ -273,11 +269,11 @@ def synthetic_matches(
         raise ValueError("need at least 2 players")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 875)))
     labels = [f"P{i:04d}" for i in range(n_players)]
-    latent = rng.normal(0.0, score_sd, n_players)
+    latent = rng.normal(0.0, SYNTHETIC_SCORE_SD, n_players)
     iu, ju = np.triu_indices(n_players, 1)
     met = rng.random(iu.size) < pair_density
     iu, ju = iu[met], ju[met]
-    games = rng.integers(1, t_max + 1, iu.size)
+    games = rng.integers(1, SYNTHETIC_T_MAX + 1, iu.size)
     with np.errstate(over="ignore"):  # exp -> inf gives probability 0.0 exactly
         wins_i = rng.binomial(games, 1.0 / (1.0 + np.exp(latent[ju] - latent[iu])))
     records: list[MatchRecord] = []

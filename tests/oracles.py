@@ -13,6 +13,7 @@ import math
 import numpy as np
 from scipy.special import expit
 
+from wstrank import simulation
 from wstrank.data import ComparisonCounts, MatchRecord, Ranking
 from wstrank.errors import DataError
 from wstrank.maxscore import SURROGATE_RIDGE, MasterResult, score
@@ -202,14 +203,18 @@ def expit_bt_latent_better(config, rng) -> np.ndarray:
     return np.maximum(expit(latent[ju] - latent[iu]), np.nextafter(0.5, 1.0))
 
 
-def expit_synthetic_matches(n_players, pair_density, t_max=5, score_sd=1.5, seed=0):
-    """``synthetic_matches`` with its win probabilities from scipy's ``expit``, one record at a time."""
+def expit_synthetic_matches(n_players, pair_density, seed=0):
+    """``synthetic_matches`` with its win probabilities from scipy's ``expit``, one record at a time.
+
+    Reads ``SYNTHETIC_T_MAX`` and ``SYNTHETIC_SCORE_SD`` from the module at
+    each call, as ``synthetic_matches`` does, so a patched value reaches both.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 875)))
-    latent = rng.normal(0.0, score_sd, n_players)
+    latent = rng.normal(0.0, simulation.SYNTHETIC_SCORE_SD, n_players)
     iu, ju = np.triu_indices(n_players, 1)
     met = rng.random(iu.size) < pair_density
     iu, ju = iu[met], ju[met]
-    games = rng.integers(1, t_max + 1, iu.size)
+    games = rng.integers(1, simulation.SYNTHETIC_T_MAX + 1, iu.size)
     wins_i = rng.binomial(games, expit(latent[iu] - latent[ju]))
     records = []
     for a, b, g, w in zip(iu, ju, games, wins_i):

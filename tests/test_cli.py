@@ -340,6 +340,37 @@ class TestRank:
         assert main(["rank", "--input", str(path), "--method", "counting"]) == 3
         assert f"{path}:3: not valid UTF-8: byte 0xe9 at file offset 20" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, flags, message",
+        [
+            ("", ["--method", "counting"], "empty match file"),
+            ("winner,loser\n", ["--method", "counting"], "no match records given"),
+            (
+                "winner,loser\nA,B\n",
+                ["--method", "usvt", "--filter", "no-wins"],
+                "need at least 2 players",
+            ),
+        ],
+        ids=["empty-file", "header-only", "usvt-one-player"],
+    )
+    def test_data_error_exits_3_with_message(self, tmp_path, capsys, text, flags, message):
+        path = tmp_path / "matches.csv"
+        path.write_text(text, encoding="utf-8")
+        assert main(["rank", "--input", str(path), *flags]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    @pytest.mark.parametrize("method", ["counting", "bt", "master"])
+    def test_one_player_left_by_the_filter_is_ranked(self, tmp_path, capsys, method):
+        # A beat B, so no-wins keeps A alone
+        path = tmp_path / "matches.csv"
+        write_matches(path, [("A", "B")])
+        argv = ["rank", "--input", str(path), "--method", method, "--filter", "no-wins"]
+        assert main([*argv, "--format", "json"]) == 0
+        artifact = json.loads(capsys.readouterr().out)
+        assert artifact["n"] == 1
+        assert [(p["position"], p["label"]) for p in artifact["players"]] == [(1, "A")]
+
     def test_numeric_failure_exits_4(self, small_matches, monkeypatch, capsys):
         import wstrank.simulation
         from wstrank.errors import ConvergenceError
@@ -566,6 +597,43 @@ class TestCompare:
 )
 def test_study_flags_rejected_outside_simulate(small_matches, argv):
     assert main([*argv, "--input", str(small_matches)]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["compare", "--input", "{m}", "--methods", "counting,bt", "--h2h", "A"],
+            "--h2h expects 'A,B', got 'A'",
+        ),
+        (["compare", "--rankings", "{a}"], "--rankings expects two comma-separated paths"),
+        (["compare", "--input", "{m}", "--methods", "master"], "--methods expects two of"),
+        (["compare", "--input", "{m}", "--methods", "master,elo"], "--methods expects two of"),
+        (["compare", "--rankings", "{a},{a}", "--h2h", "A,B"], "--h2h needs --input"),
+        (["rank", "--input", "{m}", "--method", "master", "--k", "9"], "k must be in [2, 8]"),
+        (
+            ["compare", "--input", "{m}", "--methods", "counting,master", "--k", "1"],
+            "k must be in [2, 8]",
+        ),
+    ],
+    ids=[
+        "h2h-one-name",
+        "one-ranking",
+        "one-method",
+        "unknown-method",
+        "h2h-without-input",
+        "rank-k-9",
+        "compare-k-1",
+    ],
+)
+def test_usage_error_exits_2_with_message(tmp_path, small_matches, capsys, argv, message):
+    artifact = tmp_path / "a.json"
+    rank = ["rank", "--input", str(small_matches), "--method", "counting", "--format", "json"]
+    assert main([*rank, "--out", str(artifact)]) == 0
+    argv = [arg.format(m=small_matches, a=artifact) for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {message}" in captured.err
 
 
 def test_synthetic_match_script_feeds_rank(tmp_path, capsys):

@@ -31,7 +31,7 @@ from wstrank import (
     synthetic_matches,
     write_match_csv,
 )
-from wstrank.data import largest_strong_component, strong_component
+from wstrank.data import largest_strong_component
 from wstrank.simulation import replicate_rng
 
 from oracles import (
@@ -370,24 +370,32 @@ def counts_from_edges(n, edges):
 
 class TestStrongComponents:
     def test_majority_component_is_found_by_search(self):
-        # a 5-cycle that players 5 and 6 only lose to: the player with the
-        # most opponents (0) lies in a component holding 5 of 7 players
+        # a 5-cycle that players 5 and 6 only lose to: the first search, from
+        # player 0, finds 5 of 7 players, and the 2 left cannot beat that
         cycle = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
         counts = counts_from_edges(7, cycle + [(0, 5), (0, 6)])
-        expected = [True] * 5 + [False] * 2
-        assert strong_component(counts, 0).tolist() == expected
-        assert largest_strong_component(counts).tolist() == expected
+        assert largest_strong_component(counts).tolist() == [True] * 5 + [False] * 2
         assert filter_players(counts, "bt-connected")[1] == (0, 1, 2, 3, 4)
 
     def test_equal_components_without_majority_take_the_lower_index(self):
-        # two 3-cycles joined one way: player 3 has the most opponents (4),
-        # but its component is no majority, so the closure picks the tie's
-        # lower-index component
+        # two 3-cycles joined one way: the search from player 0 finds the
+        # lower-index cycle first, and the equal one found next does not
+        # replace it
         edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (3, 0), (3, 1)]
         counts = counts_from_edges(6, edges)
-        assert strong_component(counts, 3).tolist() == [False] * 3 + [True] * 3
         assert largest_strong_component(counts).tolist() == [True] * 3 + [False] * 3
         assert filter_players(counts, "bt-connected")[1] == (0, 1, 2)
+
+    @given(st.one_of(win_digraphs(), twin_cycles()))
+    @example(np.zeros((1, 1), dtype=int))  # one player: a singleton component
+    @example(np.eye(5, k=1, dtype=int))  # an acyclic chain 0 -> 1 -> ... -> 4
+    # a 3-cycle on the top indices that players 0-2 only lose to: three
+    # singleton searches come before the one that finds the cycle
+    @example(counts_from_edges(6, [(3, 4), (4, 5), (5, 3), (3, 0), (3, 1), (3, 2)]).win_counts)
+    @settings(max_examples=200, deadline=None)
+    def test_mask_matches_reachability_oracle(self, win):
+        mask = largest_strong_component(ComparisonCounts(win))
+        assert tuple(np.flatnonzero(mask)) == oracle_largest_component(win)
 
     @given(st.one_of(win_digraphs(), twin_cycles()))
     @example(np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))  # a cycle: connected
@@ -421,6 +429,20 @@ class TestProbabilityMatrix:
         # NaN fails every comparison, so a check that raises only on a
         # comparison that holds would let it through
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            ProbabilityMatrix(probs)
+
+    @pytest.mark.parametrize(
+        "probs, message",
+        [
+            (np.full((2, 3), 0.5), "non-empty square matrix"),
+            ([[0.5, 0.6], [0.6, 0.5]], "must equal 1"),
+            # p[i, i] + p[i, i] == 1 is what fixes the diagonal at 0.5
+            ([[0.4, 0.5], [0.5, 0.6]], "must equal 1"),
+        ],
+        ids=["non_square", "pair_not_complementary", "diagonal_off_half"],
+    )
+    def test_rejects_invalid(self, probs, message):
+        with pytest.raises(ValueError, match=message):
             ProbabilityMatrix(probs)
 
 

@@ -23,6 +23,7 @@ from wstrank import (
     synthetic_matches,
 )
 from wstrank.cli import main
+from wstrank import simulation
 from wstrank.simulation import replicate_rng
 
 from oracles import expit_bt_latent_better, expit_synthetic_matches, sst_holds
@@ -174,13 +175,14 @@ class TestNumpySigmoids:
         [(875, 0.0713, 1.5, 1), (60, 0.5, 1000.0, 0)],
         ids=["paper-scale", "overflowing"],
     )
-    def test_synthetic_matches_equal_expit_records(self, n, density, score_sd, seed):
-        # at score_sd=1000 about a third of the exponents pass 710 and overflow,
-        # which must give probability 0 without a RuntimeWarning
+    def test_synthetic_matches_equal_expit_records(self, n, density, score_sd, seed, monkeypatch):
+        # at a spread of 1000 about a third of the exponents pass 710 and
+        # overflow, which must give probability 0 without a RuntimeWarning
+        monkeypatch.setattr(simulation, "SYNTHETIC_SCORE_SD", score_sd)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            records = synthetic_matches(n, density, score_sd=score_sd, seed=seed)
-        assert records == expit_synthetic_matches(n, density, score_sd=score_sd, seed=seed)
+            records = synthetic_matches(n, density, seed=seed)
+        assert records == expit_synthetic_matches(n, density, seed=seed)
 
 
 class TestRankCounts:
