@@ -24,7 +24,7 @@ from .data import ComparisonCounts, Ranking
 from .errors import NumericError
 
 MAX_TUPLE_LEN = 8  # K! enumeration guard
-SURROGATE_RIDGE = 1e-4  # keeps the surrogate's maximiser finite
+SURROGATE_RIDGE = 1e-3  # keeps the surrogate's maximiser finite
 SURROGATE_GTOL = 1e-4  # gradient 2-norm at which the surrogate fit stops
 SURROGATE_MAX_STEP = 2.0  # bound on any beta_i's move in one line-search trial
 
@@ -83,6 +83,26 @@ def score(pi: Ranking, counts: ComparisonCounts) -> int:
     return int(z @ (pi.ranks[lo] > pi.ranks[hi]))
 
 
+def _component_labels(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Each player's connected component in the graph of the edges (lo, hi).
+
+    A component is labelled by its lowest-index player. Each pass lowers
+    every label to the least label among the player's neighbours, then to
+    the label of that label (pointer jumping); labels only fall and always
+    name a player of the same component, so at the fixed point each player
+    holds the least index of its component.
+    """
+    comp = np.arange(n)
+    while True:
+        low = comp.copy()
+        np.minimum.at(low, lo, comp[hi])
+        np.minimum.at(low, hi, comp[lo])
+        low = low[low]
+        if np.array_equal(low, comp):
+            return comp
+        comp = low
+
+
 def surrogate_init(
     counts: ComparisonCounts,
     opts: MasterOptions | None = None,
@@ -90,10 +110,16 @@ def surrogate_init(
 ) -> tuple[np.ndarray, Ranking]:
     """Fit the logistic surrogate and return (scores, implied ranking).
 
-    Maximises sum over i < j of z_ij * sigmoid(beta_i - beta_j) minus a ridge
-    penalty by two-loop L-BFGS (Liu and Nocedal 1989) from beta = 0,
-    re-centering beta to mean zero after every step. It stops once the
-    gradient's 2-norm is at most ``SURROGATE_GTOL``, after
+    Maximises sum over i < j of z_ij * sigmoid(beta_i - beta_j) minus
+    ``SURROGATE_RIDGE`` * |beta|^2 by two-loop L-BFGS (Liu and Nocedal 1989)
+    from beta = 0. Every trial is re-centred to mean zero within each
+    connected component of the graph of pairs with z_ij != 0. The pair terms
+    do not change when one component shifts as a whole, and the ridge is
+    least at that component's mean zero, so the maximiser has every
+    component at mean zero and the centring sets it exactly. It leaves no
+    direction held in place by the ridge alone, and it puts a player without
+    decisive pairs at exactly 0.0, tied by index with the others. It stops
+    once the gradient's 2-norm is at most ``SURROGATE_GTOL``, after
     ``opts.surrogate_iters`` steps, or when no step passes the line search.
     The surrogate is not concave, so a curvature pair with
     s.y <= 1e-10 * y.y is not stored. The first direction, and any L-BFGS
@@ -127,6 +153,8 @@ def surrogate_init(
     hi_order = np.argsort(hi, kind="stable")
     hi_starts = np.flatnonzero(np.diff(hi[hi_order], prepend=-1))
     lo_own, hi_own = lo[lo_starts], hi[hi_order[hi_starts]]
+    comp = _component_labels(n, lo, hi)
+    comp_size = np.bincount(comp, minlength=n)[comp].astype(float)
 
     def objective(b: np.ndarray) -> tuple[float, np.ndarray]:
         sig = np.take(b, hi)
@@ -179,7 +207,7 @@ def surrogate_init(
         accepted = None
         for _ in range(40):
             candidate = beta + step * direction
-            candidate = candidate - candidate.mean()
+            candidate -= np.bincount(comp, candidate, n)[comp] / comp_size
             cand_obj, cand_sig = objective(candidate)
             if not math.isfinite(cand_obj):
                 raise NumericError("non-finite objective in surrogate ascent")

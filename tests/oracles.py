@@ -166,6 +166,17 @@ def largest_strong_component(win) -> tuple[int, ...]:
     return min(components, key=lambda c: (-len(c), c[0]))
 
 
+def decisive_components(win) -> np.ndarray:
+    """Each player's component of the graph joining i and j when win[i, j] != win[j, i].
+
+    A component is labelled by its lowest-index player, as in
+    ``maxscore._component_labels``.
+    """
+    n = win.shape[0]
+    neighbours = [list(np.flatnonzero(win[i] != win[:, i])) for i in range(n)]
+    return np.array([min(_reachable(neighbours, v)) for v in range(n)])
+
+
 def brute_wst_violations(probs) -> list[tuple[int, int, int]]:
     n = probs.shape[0]
     out = []
