@@ -11,7 +11,6 @@ simulation-study harness. A CLI binds everything into batch workflows; see
 from .baselines import (
     borda_rank,
     bt_fit,
-    usvt_probabilities,
     usvt_rank,
 )
 from .data import (
@@ -111,7 +110,6 @@ __all__ = [
     "spearman_rho",
     "surrogate_init",
     "synthetic_matches",
-    "usvt_probabilities",
     "usvt_rank",
     "write_match_csv",
 ]

@@ -6,8 +6,6 @@ maximum-score estimator does, which is exactly why they serve as baselines.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .data import (
@@ -113,50 +111,26 @@ def bt_fit(counts: ComparisonCounts) -> tuple[np.ndarray, Ranking]:
                 break
             t *= 0.5
         else:
-            raise ConvergenceError(
-                f"no Newton step lowers the gradient norm {grad_norm:.3g}", beta=beta
-            )
+            raise ConvergenceError(f"no Newton step lowers the gradient norm {grad_norm:.3g}")
         beta, loglik, grad, weight, grad_norm = (
             trial, trial_loglik, trial_grad, trial_weight, trial_norm
         )
     raise ConvergenceError(
-        f"gradient norm still above {BT_TOL} after {BT_MAX_ITERS} Newton steps",
-        beta=beta,
+        f"gradient norm still above {BT_TOL} after {BT_MAX_ITERS} Newton steps"
     )
-
-
-def usvt_probabilities(x: np.ndarray, p_hat: float) -> ProbabilityMatrix:
-    """Denoise a standardized skew-symmetric outcome matrix into probabilities.
-
-    Keeps singular values above (2 + USVT_ETA) * sqrt(n * p_hat), rescales the
-    truncated reconstruction by 1/p_hat, clips to [-1, 1], and maps to the
-    probability scale. The estimate is symmetrized so that complementary
-    entries sum to one exactly (numeric truncation does not preserve skew
-    symmetry on its own).
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError("x must be square")
-    if not 0 < p_hat <= 1:
-        raise ValueError("p_hat must be in (0, 1]")
-    n = x.shape[0]
-    u, s, vt = np.linalg.svd(x)
-    keep = s > (2.0 + USVT_ETA) * math.sqrt(n * p_hat)
-    denoised = (u[:, keep] * s[keep]) @ vt[keep] / p_hat
-    np.clip(denoised, -1.0, 1.0, out=denoised)
-    est = (denoised + 1.0) / 2.0
-    probs = np.full((n, n), 0.5)
-    iu, ju = np.triu_indices(n, 1)
-    upper = (est[iu, ju] + 1.0 - est[ju, iu]) / 2.0
-    probs[iu, ju] = upper
-    probs[ju, iu] = 1.0 - upper
-    return ProbabilityMatrix(probs)
 
 
 def usvt_rank(counts: ComparisonCounts) -> tuple[ProbabilityMatrix, Ranking]:
     """Estimate the probability matrix by USVT and rank players by its row sums.
 
-    ``p_hat`` is the share of pairs that have played.
+    X is :func:`skew_statistic` and ``p_hat`` the share of pairs that have
+    played. USVT keeps the singular values of X above
+    (2 + USVT_ETA) * sqrt(n * p_hat). Their right singular vectors V are the
+    eigenvectors of X^T X whose eigenvalues pass that threshold squared, and
+    the truncated reconstruction is X V V^T. Rescaled by 1/p_hat and clipped
+    to [-1, 1], it gives C, and the estimate 0.5 + (C - C^T) / 4 has
+    complementary entries that sum to one exactly. With no value kept, every
+    entry is exactly 0.5.
     """
     n = counts.n
     if n < 2:
@@ -164,5 +138,9 @@ def usvt_rank(counts: ComparisonCounts) -> tuple[ProbabilityMatrix, Ranking]:
     p_hat = 2 * counts.played[0].size / (n * (n - 1))
     if p_hat == 0.0:
         raise DataError("no pair has been observed; the estimate is degenerate")
-    estimate = usvt_probabilities(skew_statistic(counts), p_hat)
+    x = skew_statistic(counts)
+    eigenvalues, eigenvectors = np.linalg.eigh(x.T @ x)
+    v = eigenvectors[:, eigenvalues > (2.0 + USVT_ETA) ** 2 * n * p_hat]
+    c = np.clip(x @ v @ v.T / p_hat, -1.0, 1.0)
+    estimate = ProbabilityMatrix(0.5 + (c - c.T) / 4)
     return estimate, Ranking.from_scores(estimate.probs.sum(axis=1))

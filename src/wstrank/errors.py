@@ -34,11 +34,4 @@ class NumericError(RuntimeError):
 
 
 class ConvergenceError(NumericError):
-    """Iteration limit reached before meeting the stopping criterion.
-
-    Carries the last iterate in ``beta`` so callers can inspect or reuse it.
-    """
-
-    def __init__(self, message: str, beta=None) -> None:
-        super().__init__(message)
-        self.beta = beta
+    """Iteration limit reached before meeting the stopping criterion."""

@@ -14,7 +14,8 @@ import numpy as np
 from scipy.special import expit
 
 from wstrank import simulation
-from wstrank.data import ComparisonCounts, MatchRecord, Ranking
+from wstrank.baselines import USVT_ETA
+from wstrank.data import ComparisonCounts, MatchRecord, ProbabilityMatrix, Ranking
 from wstrank.errors import DataError
 from wstrank.maxscore import SURROGATE_RIDGE, MasterResult, score
 from wstrank.simulation import BT_LATENT_SD
@@ -132,6 +133,29 @@ def dense_skew_statistic(win) -> np.ndarray:
         raw = np.where(pair > 0, 2.0 * win / np.where(pair > 0, pair, 1) - 1.0, 0.0)
     upper = np.triu(raw, 1)
     return upper - upper.T
+
+
+def svd_usvt_probabilities(x, p_hat) -> ProbabilityMatrix:
+    """USVT by a full SVD of ``x``, symmetrized pair by pair over the upper triangle.
+
+    Keeps singular values above (2 + USVT_ETA) * sqrt(n * p_hat), rescales the
+    truncated reconstruction by 1/p_hat, clips it to [-1, 1] and maps it to
+    the probability scale; entry (i, j) is then the mean of est[i, j] and
+    1 - est[j, i].
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    u, s, vt = np.linalg.svd(x)
+    keep = s > (2.0 + USVT_ETA) * math.sqrt(n * p_hat)
+    denoised = (u[:, keep] * s[keep]) @ vt[keep] / p_hat
+    np.clip(denoised, -1.0, 1.0, out=denoised)
+    est = (denoised + 1.0) / 2.0
+    probs = np.full((n, n), 0.5)
+    iu, ju = np.triu_indices(n, 1)
+    upper = (est[iu, ju] + 1.0 - est[ju, iu]) / 2.0
+    probs[iu, ju] = upper
+    probs[ju, iu] = 1.0 - upper
+    return ProbabilityMatrix(probs)
 
 
 def _reachable(adj, start) -> set[int]:

@@ -376,7 +376,7 @@ class TestRank:
         from wstrank.errors import ConvergenceError
 
         def explode(counts, opts=None):
-            raise ConvergenceError("did not converge", beta=None)
+            raise ConvergenceError("did not converge")
 
         monkeypatch.setattr(wstrank.simulation, "bt_fit", explode)
         code = main(["rank", "--input", str(small_matches), "--method", "bt"])
