@@ -12,8 +12,8 @@ from .data import (
     ComparisonCounts,
     ProbabilityMatrix,
     Ranking,
-    largest_strong_component,
     skew_statistic,
+    strong_components,
 )
 from .errors import ConvergenceError, DataError, NotConnectedError, NumericError
 
@@ -57,12 +57,12 @@ def bt_fit(counts: ComparisonCounts) -> tuple[np.ndarray, Ranking]:
     after ``BT_MAX_ITERS`` Newton steps or when no trial is accepted, and
     ``NumericError`` when the solve fails or gives a non-finite step.
     The MLE exists iff the win digraph is strongly connected, that is iff
-    :func:`largest_strong_component` holds every player, which on a
-    connected digraph its first two searches settle. Anything else raises
+    the first component of :func:`strong_components` holds every player, so
+    only that one pair of searches is run. Anything else raises
     ``NotConnectedError`` before iterating.
     """
     n = counts.n
-    if not largest_strong_component(counts).all():
+    if not next(strong_components(counts.win_counts > 0)).all():
         raise NotConnectedError(
             "comparison graph is not strongly connected; "
             "apply filter_players(counts, 'bt-connected') first"

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count, repeat
 from operator import eq
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -120,9 +120,6 @@ class Ranking:
     def best_first(self) -> np.ndarray:
         """Player indices from best to worst."""
         return self.order()[::-1]
-
-    def reverse(self) -> "Ranking":
-        return Ranking(self.n + 1 - self.ranks)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Ranking):
@@ -274,31 +271,47 @@ def _reach(adj: np.ndarray, start: int, excluded: np.ndarray) -> np.ndarray:
     return seen & ~excluded
 
 
-def largest_strong_component(counts: ComparisonCounts) -> np.ndarray:
-    """Mask of the largest strongly connected component of the win digraph.
+def strong_components(adj: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield the masks of the strongly connected components of the digraph ``adj``.
 
-    The edge i -> j means i beat j. Components are found one at a time,
+    ``adj[i, j]`` is the edge i -> j. Components are found one at a time,
     from the lowest-index player not yet placed in one, by two frontier
     searches (Fleischer, Hendrickson and Pinar 2000): forward among the
     unplaced players, then backward within what the forward search reached.
     A path between two members of a component stays inside it, so the
-    confined searches still find the whole component. The loop stops once
-    too few players are left unplaced to form a larger component. As
-    components come in order of their smallest index, among components of
-    equal size the one holding the smallest index is kept; when every
-    component is a single player, that is player 0. A strongly connected
-    digraph takes one pair of searches, an acyclic one n - 1.
+    confined searches still find the whole component. Each component costs
+    one pair of searches, so a caller that needs only the first ones stops
+    there. On a symmetric ``adj`` they are the graph's connected components.
     """
-    adj = counts.win_counts > 0
-    placed = np.zeros(counts.n, dtype=bool)
-    best = np.zeros(counts.n, dtype=bool)
-    while counts.n - np.count_nonzero(placed) > np.count_nonzero(best):
+    placed = np.zeros(adj.shape[0], dtype=bool)
+    while not placed.all():
         player = int(placed.argmin())
         forward = _reach(adj, player, placed)
         component = _reach(adj.T, player, ~forward)
         placed = placed | component
-        if np.count_nonzero(component) > np.count_nonzero(best):
-            best = component
+        yield component
+
+
+def largest_strong_component(counts: ComparisonCounts) -> np.ndarray:
+    """Mask of the largest strongly connected component of the win digraph.
+
+    The edge i -> j means i beat j. The components come from
+    :func:`strong_components`, in order of their lowest index, and the
+    search stops once too few players are left unplaced to form a larger
+    component. Among components of equal size the first found, the one
+    holding the smallest index, is kept; when every component is a single
+    player, that is player 0. A strongly connected digraph takes one pair
+    of searches, an acyclic one n - 1.
+    """
+    best = np.zeros(counts.n, dtype=bool)
+    best_size, left = 0, counts.n
+    for component in strong_components(counts.win_counts > 0):
+        size = np.count_nonzero(component)
+        if size > best_size:
+            best, best_size = component, size
+        left -= size
+        if left <= best_size:
+            break
     return best
 
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import ComparisonCounts, Ranking
+from .data import ComparisonCounts, Ranking, strong_components
 from .errors import NumericError
 
 MAX_TUPLE_LEN = 8  # K! enumeration guard
@@ -83,26 +83,6 @@ def score(pi: Ranking, counts: ComparisonCounts) -> int:
     return int(z @ (pi.ranks[lo] > pi.ranks[hi]))
 
 
-def _component_labels(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Each player's connected component in the graph of the edges (lo, hi).
-
-    A component is labelled by its lowest-index player. Each pass lowers
-    every label to the least label among the player's neighbours, then to
-    the label of that label (pointer jumping); labels only fall and always
-    name a player of the same component, so at the fixed point each player
-    holds the least index of its component.
-    """
-    comp = np.arange(n)
-    while True:
-        low = comp.copy()
-        np.minimum.at(low, lo, comp[hi])
-        np.minimum.at(low, hi, comp[lo])
-        low = low[low]
-        if np.array_equal(low, comp):
-            return comp
-        comp = low
-
-
 def surrogate_init(
     counts: ComparisonCounts,
     opts: MasterOptions | None = None,
@@ -113,7 +93,8 @@ def surrogate_init(
     Maximises sum over i < j of z_ij * sigmoid(beta_i - beta_j) minus
     ``SURROGATE_RIDGE`` * |beta|^2 by two-loop L-BFGS (Liu and Nocedal 1989)
     from beta = 0. Every trial is re-centred to mean zero within each
-    connected component of the graph of pairs with z_ij != 0. The pair terms
+    connected component of the graph of pairs with z_ij != 0, as found by
+    :func:`~wstrank.data.strong_components` on that graph. The pair terms
     do not change when one component shifts as a whole, and the ridge is
     least at that component's mean zero, so the maximiser has every
     component at mean zero and the centring sets it exactly. It leaves no
@@ -153,7 +134,11 @@ def surrogate_init(
     hi_order = np.argsort(hi, kind="stable")
     hi_starts = np.flatnonzero(np.diff(hi[hi_order], prepend=-1))
     lo_own, hi_own = lo[lo_starts], hi[hi_order[hi_starts]]
-    comp = _component_labels(n, lo, hi)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[lo, hi] = adj[hi, lo] = True
+    comp = np.empty(n, dtype=np.int64)
+    for c in strong_components(adj):
+        comp[c] = c.argmax()  # each component is labelled by its lowest index
     comp_size = np.bincount(comp, minlength=n)[comp].astype(float)
 
     def objective(b: np.ndarray) -> tuple[float, np.ndarray]:

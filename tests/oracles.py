@@ -193,8 +193,8 @@ def largest_strong_component(win) -> tuple[int, ...]:
 def decisive_components(win) -> np.ndarray:
     """Each player's component of the graph joining i and j when win[i, j] != win[j, i].
 
-    A component is labelled by its lowest-index player, as in
-    ``maxscore._component_labels``.
+    A component is labelled by its lowest-index player, as the surrogate's
+    centring labels it.
     """
     n = win.shape[0]
     neighbours = [list(np.flatnonzero(win[i] != win[:, i])) for i in range(n)]

@@ -31,10 +31,11 @@ from wstrank import (
     synthetic_matches,
     write_match_csv,
 )
-from wstrank.data import largest_strong_component
+from wstrank.data import largest_strong_component, strong_components
 from wstrank.simulation import replicate_rng
 
 from oracles import (
+    _reachable,
     brute_wst_violations,
     counts_error,
     dense_skew_statistic,
@@ -286,10 +287,6 @@ class TestRanking:
         r = Ranking.from_scores([0.0, 0.0, 1.0])
         assert r.ranks.tolist() == [1, 2, 3]
 
-    def test_reverse(self):
-        r = Ranking([2, 3, 1])
-        assert r.reverse().ranks.tolist() == [2, 1, 3]
-
     def test_best_first(self):
         r = Ranking([2, 3, 1])
         assert r.best_first().tolist() == [1, 0, 2]
@@ -396,6 +393,32 @@ class TestStrongComponents:
     def test_mask_matches_reachability_oracle(self, win):
         mask = largest_strong_component(ComparisonCounts(win))
         assert tuple(np.flatnonzero(mask)) == oracle_largest_component(win)
+
+    @given(st.one_of(win_digraphs(), twin_cycles()))
+    @settings(max_examples=200, deadline=None)
+    def test_strong_components_partition_in_oracle_order(self, win):
+        n = len(win)
+        forward = [list(np.flatnonzero(win[i] > 0)) for i in range(n)]
+        backward = [list(np.flatnonzero(win[:, i] > 0)) for i in range(n)]
+        masks = list(strong_components(win > 0))
+        assert (np.sum(masks, axis=0) == 1).all()  # every player in exactly one
+        lowest = [int(mask.argmax()) for mask in masks]
+        assert np.all(np.diff(lowest) > 0)
+        for mask, v in zip(masks, lowest):
+            both_ways = _reachable(forward, v) & _reachable(backward, v)
+            assert set(np.flatnonzero(mask).tolist()) == both_ways
+
+    def test_bt_fit_searches_only_the_first_component(self, monkeypatch):
+        # player 0 only loses, to the 5-cycle of players 1-5: the first
+        # component, {0} alone, already settles the refusal, so bt_fit runs
+        # one forward and one backward search and never finds the cycle
+        edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 0)]
+        calls = []
+        reach = wstrank.data._reach
+        monkeypatch.setattr(wstrank.data, "_reach", lambda *a: calls.append(a) or reach(*a))
+        with pytest.raises(NotConnectedError):
+            bt_fit(counts_from_edges(6, edges))
+        assert len(calls) == 2
 
     @given(st.one_of(win_digraphs(), twin_cycles()))
     @example(np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))  # a cycle: connected

@@ -19,7 +19,8 @@ from wstrank import (
     score,
     surrogate_init,
 )
-from wstrank.maxscore import SURROGATE_GTOL, _component_labels, _window_tables
+from wstrank.data import strong_components
+from wstrank.maxscore import SURROGATE_GTOL, _window_tables
 from wstrank.simulation import replicate_rng
 
 from oracles import (
@@ -34,6 +35,16 @@ from oracles import (
 def counts_from_wins(win):
     win = np.asarray(win)
     return ComparisonCounts(win)
+
+
+def component_labels(n, lo, hi):
+    """Each player's component in the graph of the edges (lo, hi), labelled by its lowest index."""
+    adj = np.zeros((n, n), dtype=bool)
+    adj[lo, hi] = adj[hi, lo] = True
+    labels = np.empty(n, dtype=np.int64)
+    for c in strong_components(adj):
+        labels[c] = c.argmax()
+    return labels
 
 
 def random_instance(seed, n, scenario="uniform", **kwargs):
@@ -95,7 +106,7 @@ def ktuple_instances(draw):
     else:
         init = surrogate_init(counts)[1]
         if start == "reversed":
-            init = init.reverse()
+            init = Ranking(init.n + 1 - init.ranks)
     k = draw(st.integers(min_value=2, max_value=min(n, 8)))
     return counts, init, k
 
@@ -174,7 +185,7 @@ class TestScore:
             iu, ju = np.triu_indices(10, 1)
             total = int(z[iu, ju].sum())
             pi = Ranking(rng.permutation(10) + 1)
-            assert score(pi, counts) + score(pi.reverse(), counts) == total
+            assert score(pi, counts) + score(Ranking(pi.n + 1 - pi.ranks), counts) == total
 
 
 class TestSurrogateInit:
@@ -294,15 +305,15 @@ class TestSurrogateInit:
     @settings(max_examples=60, deadline=None)
     def test_component_labels_match_search_oracle(self, win):
         lo, hi, _, z = counts_from_wins(win).played
-        labels = _component_labels(len(win), lo[z != 0], hi[z != 0])
+        labels = component_labels(len(win), lo[z != 0], hi[z != 0])
         assert labels.tolist() == decisive_components(win).tolist()
 
     def test_component_labels_of_a_long_path(self):
-        # One path through all 300 players in a random order: every label
-        # must fall to 0, however far player 0 sits from the others.
+        # One path through all 300 players in a random order: one component,
+        # labelled 0, however far player 0 sits from the others.
         walk = np.random.default_rng(0).permutation(300)
         lo, hi = np.minimum(walk[:-1], walk[1:]), np.maximum(walk[:-1], walk[1:])
-        assert not _component_labels(300, lo, hi).any()
+        assert not component_labels(300, lo, hi).any()
 
     def test_recovers_latent_order_reasonably(self):
         corrs = []
@@ -338,7 +349,7 @@ class TestKtupleSearch:
     def test_improves_from_reversed_optimum(self):
         counts, _ = random_instance(40, 6)
         _, oracle_ranks = exhaustive_max_score(counts.win_counts)
-        init = Ranking(np.array(oracle_ranks)).reverse()
+        init = Ranking(counts.n + 1 - np.array(oracle_ranks))
         result = ktuple_search(counts, init, 3)
         assert result.sweeps >= 1
         assert result.objective > result.init_objective
