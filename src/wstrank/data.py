@@ -281,7 +281,7 @@ def strong_components(adj: np.ndarray) -> Iterator[np.ndarray]:
     A path between two members of a component stays inside it, so the
     confined searches still find the whole component. Each component costs
     one pair of searches, so a caller that needs only the first ones stops
-    there. On a symmetric ``adj`` they are the graph's connected components.
+    there.
     """
     placed = np.zeros(adj.shape[0], dtype=bool)
     while not placed.all():

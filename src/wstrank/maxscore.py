@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import ComparisonCounts, Ranking, strong_components
+from .data import ComparisonCounts, Ranking
 from .errors import NumericError
 
 MAX_TUPLE_LEN = 8  # K! enumeration guard
@@ -92,14 +92,13 @@ def surrogate_init(
 
     Maximises sum over i < j of z_ij * sigmoid(beta_i - beta_j) minus
     ``SURROGATE_RIDGE`` * |beta|^2 by two-loop L-BFGS (Liu and Nocedal 1989)
-    from beta = 0. Every trial is re-centred to mean zero within each
-    connected component of the graph of pairs with z_ij != 0, as found by
-    :func:`~wstrank.data.strong_components` on that graph. The pair terms
-    do not change when one component shifts as a whole, and the ridge is
-    least at that component's mean zero, so the maximiser has every
-    component at mean zero and the centring sets it exactly. It leaves no
-    direction held in place by the ridge alone, and it puts a player without
-    decisive pairs at exactly 0.0, tied by index with the others. It stops
+    from beta = 0. Each connected component of the graph of pairs with
+    z_ij != 0 stays at mean zero, up to rounding, by construction: on each
+    component the gradient's pair terms sum to zero, and so does its ridge
+    term -2 * ``SURROGATE_RIDGE`` * beta while beta does, and every
+    direction is built from gradients and earlier steps. A player without
+    decisive pairs has a zero gradient entry at every step, so it stays at
+    exactly 0.0, tied by index with the others. It stops
     once the gradient's 2-norm is at most ``SURROGATE_GTOL``, after
     ``opts.surrogate_iters`` steps, or when no step passes the line search.
     The surrogate is not concave, so a curvature pair with
@@ -134,12 +133,6 @@ def surrogate_init(
     hi_order = np.argsort(hi, kind="stable")
     hi_starts = np.flatnonzero(np.diff(hi[hi_order], prepend=-1))
     lo_own, hi_own = lo[lo_starts], hi[hi_order[hi_starts]]
-    adj = np.zeros((n, n), dtype=bool)
-    adj[lo, hi] = adj[hi, lo] = True
-    comp = np.empty(n, dtype=np.int64)
-    for c in strong_components(adj):
-        comp[c] = c.argmax()  # each component is labelled by its lowest index
-    comp_size = np.bincount(comp, minlength=n)[comp].astype(float)
 
     def objective(b: np.ndarray) -> tuple[float, np.ndarray]:
         sig = np.take(b, hi)
@@ -192,7 +185,6 @@ def surrogate_init(
         accepted = None
         for _ in range(40):
             candidate = beta + step * direction
-            candidate -= np.bincount(comp, candidate, n)[comp] / comp_size
             cand_obj, cand_sig = objective(candidate)
             if not math.isfinite(cand_obj):
                 raise NumericError("non-finite objective in surrogate ascent")

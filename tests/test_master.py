@@ -19,7 +19,6 @@ from wstrank import (
     score,
     surrogate_init,
 )
-from wstrank.data import strong_components
 from wstrank.maxscore import SURROGATE_GTOL, _window_tables
 from wstrank.simulation import replicate_rng
 
@@ -35,16 +34,6 @@ from oracles import (
 def counts_from_wins(win):
     win = np.asarray(win)
     return ComparisonCounts(win)
-
-
-def component_labels(n, lo, hi):
-    """Each player's component in the graph of the edges (lo, hi), labelled by its lowest index."""
-    adj = np.zeros((n, n), dtype=bool)
-    adj[lo, hi] = adj[hi, lo] = True
-    labels = np.empty(n, dtype=np.int64)
-    for c in strong_components(adj):
-        labels[c] = c.argmax()
-    return labels
 
 
 def random_instance(seed, n, scenario="uniform", **kwargs):
@@ -245,14 +234,15 @@ class TestSurrogateInit:
     def test_relabelling_permutes_scores(self, instance):
         # Relabelling reorders the decisive pairs, hence every float sum, and
         # the L-BFGS steps carry that rounding forward, so the two fits agree
-        # up to rounding only. Centring each component of the decisive-pair
-        # graph on its own leaves no direction that only the ridge holds in
-        # place, along which a fit stopping on the gradient tolerance would
-        # leave that rounding amplified by about 1 / (2 * ridge). Over 72,000
-        # drawn instances the gap stayed below 1e-10 * max(1, max|beta|) on
-        # 99.9% of them and reached 7.2e-8 times it at worst, a fit that
-        # stopped near a saddle of the surrogate; the example gave 2.1e-5
-        # times it with one global centring, through its {5, 8} component.
+        # up to rounding only. The fit starts at beta = 0 and builds every
+        # direction from gradients and earlier steps, which sum to zero on
+        # each component of the decisive-pair graph, so it stays centred on
+        # each component and never moves along a shift of one component as a
+        # whole: a direction that only the ridge holds in place, along which
+        # a fit stopping on the gradient tolerance would leave that rounding
+        # amplified by about 1 / (2 * ridge). Over 12,000 drawn instances the
+        # gap reached 2.4e-8 * max(1, max|beta|) at worst; the example, whose
+        # {5, 8} component meets no other player, gives 1.2e-9 times it.
         win, sigma = instance
         beta, _ = surrogate_init(counts_from_wins(win))
         moved, _ = surrogate_init(counts_from_wins(win[np.ix_(sigma, sigma)]))
@@ -274,23 +264,35 @@ class TestSurrogateInit:
         surrogate_init(counts, trace=trace)
         assert len(trace) < 150
 
-    def test_centered_and_deterministic(self):
-        # Each component of the decisive-pair graph ends with mean zero: in a
-        # connected design, a sparse one with an isolated player, and SPLIT_WIN.
-        sparse, _ = random_instance(6, 25, xi_low=0.02, xi_high=0.05)
-        for counts in (random_instance(6, 25)[0], sparse, counts_from_wins(SPLIT_WIN)):
-            beta1, r1 = surrogate_init(counts)
-            beta2, r2 = surrogate_init(counts)
-            assert np.array_equal(beta1, beta2)
-            assert r1 == r2
-            comp = decisive_components(counts.win_counts)
-            means = np.bincount(comp, beta1) / np.maximum(np.bincount(comp), 1)
-            assert np.all(np.abs(means) < 1e-12)
+    @given(surrogate_instances())
+    @example(random_instance(6, 25)[0].win_counts)
+    @example(random_instance(6, 25, xi_low=0.02, xi_high=0.05)[0].win_counts)
+    @example(SPLIT_WIN)
+    @settings(max_examples=60, deadline=None)
+    def test_centered_and_deterministic(self, win):
+        # The fit starts at beta = 0 and builds every direction from
+        # gradients and earlier steps. On each component of the decisive-pair
+        # graph the gradient's pair terms sum to zero, and so does its ridge
+        # term while beta does, so each component keeps mean zero up to
+        # rounding, and a player with no decisive pair, whose gradient entry
+        # is always zero, stays at exactly 0.0. The examples are a connected
+        # design, a sparse one with an isolated player, and SPLIT_WIN.
+        counts = counts_from_wins(win)
+        beta1, r1 = surrogate_init(counts)
+        beta2, r2 = surrogate_init(counts)
+        assert np.array_equal(beta1, beta2)
+        assert r1 == r2
+        comp = decisive_components(win)
+        means = np.bincount(comp, beta1) / np.maximum(np.bincount(comp), 1)
+        assert np.all(np.abs(means) < 1e-12)
+        alone = ~(win != win.T).any(axis=1)
+        assert np.all(beta1[alone] == 0.0)
 
     def test_players_without_decisive_games_tie_by_index(self):
         # Players 1, 5, 7, 8 and 9 of this sparse replicate have no decisive
-        # pair. Each is a component of its own, centred to exactly zero, so
-        # ``Ranking.from_scores`` orders them by index, next to each other.
+        # pair. Their gradient entries are always zero, so the fit never moves
+        # them from 0.0, and ``Ranking.from_scores`` orders them by index,
+        # next to each other.
         cfg = SimConfig("uniform", 10, xi_low=0.02, xi_high=0.05, seed=0)
         rng = replicate_rng(0, 6)
         P, _ = gen_probabilities(cfg, rng)
@@ -300,20 +302,6 @@ class TestSurrogateInit:
         beta, ranking = surrogate_init(counts)
         assert np.all(beta[alone] == 0.0)
         assert np.all(np.diff(ranking.ranks[alone]) == 1)
-
-    @given(surrogate_instances())
-    @settings(max_examples=60, deadline=None)
-    def test_component_labels_match_search_oracle(self, win):
-        lo, hi, _, z = counts_from_wins(win).played
-        labels = component_labels(len(win), lo[z != 0], hi[z != 0])
-        assert labels.tolist() == decisive_components(win).tolist()
-
-    def test_component_labels_of_a_long_path(self):
-        # One path through all 300 players in a random order: one component,
-        # labelled 0, however far player 0 sits from the others.
-        walk = np.random.default_rng(0).permutation(300)
-        lo, hi = np.minimum(walk[:-1], walk[1:]), np.maximum(walk[:-1], walk[1:])
-        assert not component_labels(300, lo, hi).any()
 
     def test_recovers_latent_order_reasonably(self):
         corrs = []
